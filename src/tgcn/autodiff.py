@@ -11,6 +11,7 @@ must shape-match exactly so mistakes fail loudly.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -18,19 +19,31 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    # per thread, so that no_grad on an evaluation worker cannot switch
+    # recording off (or leave it off) for the thread that trains
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def is_grad_enabled():
+    """Whether primitives called on this thread record the graph."""
+    return _grad_mode.enabled
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording on this thread inside the block (inference /
+    evaluation)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _as_array(x):
@@ -60,9 +73,12 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add g to grad. A ``fresh`` g, a float64 result that nothing else
+        holds or will write, becomes the first gradient without a copy."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = (np.asarray(g) if fresh
+                         else np.array(g, dtype=np.float64, copy=True))
         else:
             self.grad += g
 
@@ -71,7 +87,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _recording(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -139,6 +155,22 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs):
+    return is_grad_enabled() and any(t.requires_grad for t in inputs)
+
+
+def _sigmoid_values(v, out=None):
+    """Logistic function 1/(1 + exp(-v)) with one transcendental per element
+    and no scratch arrays; ``out`` may be ``v`` itself. Below v ≈ -709
+    exp(-v) overflows to inf and σ reads 0, within 1e-307 of its true
+    value, so that overflow is not reported."""
+    out = np.negative(v, out=np.empty_like(v) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 # -- primitives ------------------------------------------------------------
 
 def add(a, b):
@@ -162,7 +194,7 @@ def add(a, b):
             and b.shape == (1, a.shape[1])):
         def bwd(g, a=a, b=b):
             a._accumulate(g)
-            b._accumulate(g.sum(axis=0, keepdims=True))
+            b._accumulate(g.sum(axis=0, keepdims=True), fresh=True)
 
         return Tensor._make(a.data + b.data, (a, b), bwd)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -178,8 +210,8 @@ def hadamard(a, b):
         raise ShapeError(f"hadamard: incompatible shapes {a.shape} and {b.shape}")
 
     def bwd(g, a=a, b=b):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
+        a._accumulate(g * b.data, fresh=True)
+        b._accumulate(g * a.data, fresh=True)
 
     return Tensor._make(a.data * b.data, (a, b), bwd)
 
@@ -188,7 +220,7 @@ def scale(a, c):
     c = float(c)
 
     def bwd(g, a=a):
-        a._accumulate(g * c)
+        a._accumulate(g * c, fresh=True)
 
     return Tensor._make(a.data * c, (a,), bwd)
 
@@ -200,9 +232,9 @@ def matmul(a, b):
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, fresh=True)
 
     return Tensor._make(a.data @ b.data, (a, b), bwd)
 
@@ -223,19 +255,18 @@ def graph_propagate(prop, x, batch=1):
     out = (prop @ x.data.reshape(batch, n, d)).reshape(batch * n, d)
 
     def bwd(g, x=x, prop=prop):
-        x._accumulate((prop.T @ g.reshape(batch, n, d)).reshape(batch * n, d))
+        x._accumulate((prop.T @ g.reshape(batch, n, d)).reshape(batch * n, d),
+                      fresh=True)
 
     return Tensor._make(out, (x,), bwd)
 
 
 def sigmoid(x):
     x = _lift(x)
-    v = x.data
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    out = _sigmoid_values(x.data)
 
     def bwd(g, x=x, out=out):
-        x._accumulate(g * out * (1.0 - out))
+        x._accumulate(g * out * (1.0 - out), fresh=True)
 
     return Tensor._make(out, (x,), bwd)
 
@@ -245,7 +276,7 @@ def tanh(x):
     out = np.tanh(x.data)
 
     def bwd(g, x=x, out=out):
-        x._accumulate(g * (1.0 - out * out))
+        x._accumulate(g * (1.0 - out * out), fresh=True)
 
     return Tensor._make(out, (x,), bwd)
 
@@ -256,7 +287,7 @@ def relu(x):
     mask = x.data > 0
 
     def bwd(g, x=x, mask=mask):
-        x._accumulate(g * mask)
+        x._accumulate(g * mask, fresh=True)
 
     return Tensor._make(x.data * mask, (x,), bwd)
 
@@ -265,7 +296,7 @@ def square(x):
     x = _lift(x)
 
     def bwd(g, x=x):
-        x._accumulate(g * 2.0 * x.data)
+        x._accumulate(g * 2.0 * x.data, fresh=True)
 
     return Tensor._make(x.data * x.data, (x,), bwd)
 
@@ -281,6 +312,109 @@ def concat_cols(a, b):
         b._accumulate(g[:, p:])
 
     return Tensor._make(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
+
+
+def gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
+    """One gated recurrent update as a single tape node.
+
+    g is the (m, p) input transform and h the (m, k) previous state; each
+    weight is (p + k, k) and each bias (1, k). With σ the logistic function:
+
+        u, r = σ([g|h]·[w_u|w_r] + [b_u|b_r])   (one GEMM for both gates)
+        c    = tanh([g|r∘h]·w_c + b_c)
+        h'   = c + u∘(h − c)                     (= u∘h + (1 − u)∘c)
+
+    [g|r∘h] overwrites [g|h] in place. When recording, the backward keeps
+    [u|r], [g|r∘h] and c, and recomputes h − c and the gate derivatives.
+    When nothing records, nothing is kept, and h' is formed in c's buffer
+    with r's half of [u|r] as scratch.
+    """
+    g, h, w_u, w_r, w_c, b_u, b_r, b_c = map(
+        _lift, (g, h, w_u, w_r, w_c, b_u, b_r, b_c))
+    weights, biases = (w_u, w_r, w_c), (b_u, b_r, b_c)
+    m, p = g.shape if g.data.ndim == 2 else (-1, -1)
+    k = h.shape[1] if h.data.ndim == 2 else -1
+    if (p < 0 or k < 0 or h.shape[0] != m
+            or any(w.shape != (p + k, k) for w in weights)
+            or any(b.shape != (1, k) for b in biases)):
+        raise ShapeError(
+            f"gru_step: incompatible shapes g {g.shape}, h {h.shape}, "
+            f"weights {[w.shape for w in weights]}, "
+            f"biases {[b.shape for b in biases]}")
+    record = _recording((g, h) + weights + biases)
+    gc = np.empty((m, p + k))
+    gc[:, :p] = g.data
+    gc[:, p:] = h.data
+    w_ur = np.concatenate([w_u.data, w_r.data], axis=1)
+    ur = gc @ w_ur
+    ur += np.concatenate([b_u.data, b_r.data], axis=1)
+    _sigmoid_values(ur, out=ur)
+    u, r = ur[:, :k], ur[:, k:]
+    gc[:, p:] *= r
+    c = gc @ w_c.data
+    c += b_c.data
+    np.tanh(c, out=c)
+    if record:
+        out = h.data - c
+        out *= u
+        out += c
+    else:
+        np.subtract(h.data, c, out=r)
+        r *= u
+        c += r
+        out = c
+
+    def bwd(grad):
+        hd = h.data
+        gu = grad * u
+        # the candidate's pre-activation: grad∘(1 − u)∘(1 − c²)
+        dc = grad - gu
+        scratch = c * c
+        np.subtract(1.0, scratch, out=scratch)
+        dc *= scratch
+        dgc = dc @ w_c.data.T  # [dg | d(r∘h)]
+        drh = dgc[:, p:]
+        # the update and reset pre-activations side by side, through
+        # σ' = σ(1 − σ)
+        dz = np.empty((m, 2 * k))
+        np.subtract(hd, c, out=dz[:, :k])
+        dz[:, :k] *= grad
+        np.multiply(drh, hd, out=dz[:, k:])
+        dsig = 1.0 - ur
+        dsig *= ur
+        dz *= dsig
+        del dsig
+        if w_c.requires_grad:
+            w_c._accumulate(gc.T @ dc, fresh=True)
+        if b_c.requires_grad:
+            b_c._accumulate(dc.sum(axis=0, keepdims=True), fresh=True)
+        if w_u.requires_grad or w_r.requires_grad:
+            # [g|h]ᵀ·dz without rebuilding [g|h]
+            dw = np.empty((p + k, 2 * k))
+            np.matmul(g.data.T, dz, out=dw[:p])
+            np.matmul(hd.T, dz, out=dw[p:])
+            if w_u.requires_grad:
+                w_u._accumulate(dw[:, :k])
+            if w_r.requires_grad:
+                w_r._accumulate(dw[:, k:])
+        if b_u.requires_grad or b_r.requires_grad:
+            db = dz.sum(axis=0, keepdims=True)
+            if b_u.requires_grad:
+                b_u._accumulate(db[:, :k])
+            if b_r.requires_grad:
+                b_r._accumulate(db[:, k:])
+        if g.requires_grad:
+            dg = dz @ w_ur[:p].T
+            dg += dgc[:, :p]
+            g._accumulate(dg, fresh=True)
+        if h.requires_grad:
+            dh = dz @ w_ur[p:].T
+            dh += gu
+            np.multiply(drh, r, out=scratch)
+            dh += scratch
+            h._accumulate(dh, fresh=True)
+
+    return Tensor._make(out, (g, h) + weights + biases, bwd)
 
 
 def tensor_sum(x):

@@ -59,11 +59,8 @@ class TgcnCell:
 
     def step(self, x_t, h_prev, batch=1):
         g = self.input_transform(x_t, batch)
-        gh = ad.concat_cols(g, h_prev)
-        u = ad.sigmoid(gh @ self.w_u + self.b_u)
-        r = ad.sigmoid(gh @ self.w_r + self.b_r)
-        c = ad.tanh(ad.concat_cols(g, r * h_prev) @ self.w_c + self.b_c)
-        return u * h_prev + (1.0 - u) * c
+        return ad.gru_step(g, h_prev, self.w_u, self.w_r, self.w_c,
+                           self.b_u, self.b_r, self.b_c)
 
 
 class GruCell(TgcnCell):
@@ -223,6 +220,32 @@ def save_checkpoint(model, path):
             fh.write(p.data.astype("<f8").tobytes())
 
 
+# the smallest value of each size a saved model can have
+_HEADER_SIZES = {"n_nodes": 1, "hidden": 0, "seq_len": 1, "horizon": 1}
+
+
+def _check_header(path, header):
+    """Raise CheckpointError naming the first header key that is missing or
+    has the wrong type or range."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+
+    def bad(key, want):
+        if key not in header:
+            return CheckpointError(f"{path}: header lacks {key!r}")
+        return CheckpointError(
+            f"{path}: header {key!r} is {header[key]!r}, expected {want}")
+
+    if header.get("kind") not in MODEL_KINDS:
+        raise bad("kind", f"one of {', '.join(MODEL_KINDS)}")
+    for key, least in _HEADER_SIZES.items():
+        value = header.get(key)
+        if type(value) is not int or value < least:
+            raise bad(key, f"an integer >= {least}")
+    if not isinstance(header.get("params"), list):
+        raise bad("params", "a list of [name, shape] pairs")
+
+
 def load_checkpoint(path, propagation=None):
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -238,6 +261,7 @@ def load_checkpoint(path, propagation=None):
         header = json.loads(raw[10:10 + hlen])
     except ValueError:
         raise CheckpointError(f"{path}: corrupt header JSON")
+    _check_header(path, header)
     kind = header["kind"]
     if kind in ("tgcn", "gcn"):
         if propagation is None:

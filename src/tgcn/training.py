@@ -177,6 +177,9 @@ def train(model, train_windows, test_windows, dataset, config):
             if not np.isfinite(lval):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             batch_loss.backward()
+            # free this step's tape now, not when the next forward rebinds
+            # the names, so that two tapes are never alive at once
+            del pred, batch_loss
             clip_gradients(params, config.clip)
             try:
                 opt.step()

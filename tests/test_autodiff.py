@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,137 @@ def test_graph_propagate_blocks():
 def test_graph_propagate_shape_error():
     with pytest.raises(ShapeError):
         ad.graph_propagate(np.eye(3), Tensor(np.zeros((4, 1))), batch=1)
+
+
+def test_no_grad_is_per_thread():
+    # a worker inside no_grad must not switch recording off elsewhere
+    entered, release = threading.Event(), threading.Event()
+
+    def worker():
+        with ad.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert ad.is_grad_enabled()
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert ad.sigmoid(x)._backward is not None
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert ad.is_grad_enabled()
+
+
+# -- sigmoid ---------------------------------------------------------------
+
+def old_sigmoid(v):
+    """The three-exp formula sigmoid used before it shared gru_step's."""
+    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+
+def test_sigmoid_matches_old_formula_without_overflow():
+    v = np.concatenate([np.linspace(-700.0, 700.0, 20001),
+                        [-700.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 700.0]])
+    v = v.reshape(-1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = ad.sigmoid(Tensor(v)).data
+        far = ad.sigmoid(Tensor([[-1000.0, -710.0, 710.0, 1000.0]])).data
+    assert np.max(np.abs(got - old_sigmoid(v))) <= 1e-15
+    assert np.max(np.abs(far - [[0.0, 0.0, 1.0, 1.0]])) <= 1e-15
+
+
+# -- fused gated step --------------------------------------------------------
+
+def unfused_gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
+    """The gated update composed from primitives, as the cell computed it
+    before gru_step existed: the reference for its forward and backward."""
+    gh = ad.concat_cols(g, h)
+    u = ad.sigmoid(gh @ w_u + b_u)
+    r = ad.sigmoid(gh @ w_r + b_r)
+    c = ad.tanh(ad.concat_cols(g, r * h) @ w_c + b_c)
+    return u * h + (1.0 - u) * c
+
+
+def gru_inputs(rng, m, p, k, h_const=False):
+    """[g, h, w_u, w_r, w_c, b_u, b_r, b_c] as Tensors; with h_const, h is
+    the zero first-step state and needs no gradient."""
+    shapes = [(m, p), (m, k)] + [(p + k, k)] * 3 + [(1, k)] * 3
+    ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    if h_const:
+        ts[1] = Tensor(np.zeros((m, k)))
+    return ts
+
+
+@pytest.mark.parametrize("h_const", [False, True])
+def test_gru_step_gradcheck(h_const):
+    rng = np.random.default_rng(21)
+    xs = gru_inputs(rng, 4, 2, 3, h_const)
+    weight = Tensor(rng.standard_normal((4, 3)))
+    inputs = [x for x in xs if x.requires_grad]
+    assert len(inputs) == (7 if h_const else 8)
+
+    def f(_):
+        return ad.tensor_sum(ad.gru_step(*xs) * weight)
+
+    report = gradcheck(f, inputs, tol=1e-7)
+    assert report.passed, report.per_input
+
+
+@pytest.mark.parametrize("m,p,k,h_const", [
+    (1, 1, 1, False), (6, 3, 3, False), (5, 2, 4, False), (7, 4, 2, True),
+    (12, 5, 5, True)])
+def test_gru_step_matches_unfused_composition(m, p, k, h_const):
+    rng = np.random.default_rng(m * 100 + p * 10 + k)
+    xs = gru_inputs(rng, m, p, k, h_const)
+    weight = Tensor(rng.standard_normal((m, k)))
+    outs, grads = [], []
+    for step in (ad.gru_step, unfused_gru_step):
+        for x in xs:
+            x.zero_grad()
+        out = step(*xs)
+        ad.tensor_sum(out * weight).backward()
+        outs.append(out.data)
+        grads.append([x.grad for x in xs])
+    assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
+    for x, fused, unfused in zip(xs, *grads):
+        if not x.requires_grad:
+            assert fused is None
+            continue
+        assert np.max(np.abs(fused - unfused)) <= 1e-12
+
+
+def test_gru_step_records_nothing_under_no_grad():
+    xs = gru_inputs(np.random.default_rng(22), 3, 2, 2)
+    with ad.no_grad():
+        out = ad.gru_step(*xs)
+    assert out._backward is None and not out.requires_grad
+    assert out._parents == ()
+    want = unfused_gru_step(*xs).data
+    assert np.max(np.abs(out.data - want)) <= 1e-12
+
+
+def test_gru_step_leaves_its_inputs_unchanged():
+    xs = gru_inputs(np.random.default_rng(23), 4, 3, 3)
+    before = [x.data.copy() for x in xs]
+    out = ad.gru_step(*xs)
+    ad.tensor_sum(out).backward()
+    with ad.no_grad():
+        ad.gru_step(*xs)
+    for x, b in zip(xs, before):
+        assert np.array_equal(x.data, b)
+
+
+def test_gru_step_shape_error_names_shapes():
+    xs = gru_inputs(np.random.default_rng(24), 4, 2, 3)
+    xs[4] = Tensor(np.zeros((4, 3)))
+    with pytest.raises(ShapeError, match=r"gru_step.*\(4, 3\)"):
+        ad.gru_step(*xs)
+    with pytest.raises(ShapeError, match="gru_step"):
+        ad.gru_step(xs[0], Tensor(np.zeros((3, 3))), *xs[2:])

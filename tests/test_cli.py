@@ -1,4 +1,9 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,3 +190,30 @@ def test_parse_error_reported_structured(tmp_path, ring_files, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ParseError"
     assert "row 2" in err["message"]
+
+
+def test_eval_malformed_checkpoint_header_clean_error(tmp_path, ring_files):
+    adj, feat = ring_files
+    ckpt = tmp_path / "model.ckpt"
+    run(["train", "--adj", adj, "--features", feat, "--model", "tgcn", *FAST,
+         "--out", str(ckpt)])
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    del header["kind"]
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob
+                     + raw[10 + hlen:])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tgcn.cli", "eval", "--adj", adj,
+         "--features", feat, "--model", "tgcn", "--seq-len", "4",
+         "--checkpoint", str(ckpt)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == "CheckpointError"
+    assert "'kind'" in err["message"]

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -252,6 +255,31 @@ def test_edgeless_graph_locality():
     assert not np.array_equal(base[2], pred[2])
 
 
+def tape_nodes(out):
+    """Recorded nodes (those with a backward closure) reachable from out."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t._backward is not None
+            stack.extend(t._parents)
+    return count
+
+
+@pytest.mark.parametrize("kind,per_step", [("tgcn", 5), ("gru", 2)])
+def test_forward_tape_node_count(kind, per_step):
+    # per step: the recorded part of the input transform (matmul, relu,
+    # graph_propagate, matmul for tgcn, whose first graph_propagate sees only
+    # the constant input; one matmul for gru) and one gru_step; then the
+    # head's matmul and bias add
+    prop = random_graph(np.random.default_rng(25), 4)
+    model = SequenceModel(kind, 4, 3, 12, 1, propagation=prop)
+    model.init_parameters(0)
+    out = model.forward(np.random.default_rng(26).random((2, 12, 4)))
+    assert tape_nodes(out) == 12 * per_step + 2
+
+
 # -- HA baseline -------------------------------------------------------------
 
 def test_ha_constant_window():
@@ -371,3 +399,46 @@ def test_checkpoint_graph_size_mismatch(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(CheckpointError, match="nodes"):
         load_checkpoint(path, propagation=random_graph(rng, 5))
+
+
+def _write_with_header(path, edit):
+    model = SequenceModel("gru", 2, 2, 2, 1)
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    header = edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob
+                     + raw[10 + hlen:])
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+@pytest.mark.parametrize("edit,key", [
+    (_drop("kind"), "kind"), (_set("kind", 3), "kind"),
+    (_set("kind", "lstm"), "kind"), (_drop("n_nodes"), "n_nodes"),
+    (_set("n_nodes", "2"), "n_nodes"), (_set("n_nodes", 0), "n_nodes"),
+    (_drop("hidden"), "hidden"), (_set("hidden", 2.0), "hidden"),
+    (_drop("seq_len"), "seq_len"), (_set("seq_len", True), "seq_len"),
+    (_drop("horizon"), "horizon"), (_set("horizon", None), "horizon"),
+    (_drop("params"), "params"), (_set("params", {}), "params"),
+])
+def test_checkpoint_header_schema(tmp_path, edit, key):
+    path = tmp_path / "model.ckpt"
+    _write_with_header(path, edit)
+    with pytest.raises(CheckpointError, match=repr(key)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_not_an_object(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _write_with_header(path, lambda h: [h])
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        load_checkpoint(path)

@@ -1,7 +1,11 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import ring_adjacency, ring_series
+from tgcn import autodiff as ad
 from tgcn import data
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ShapeError, TrainingDiverged
@@ -207,6 +211,64 @@ def test_threaded_evaluation_matches_serial(monkeypatch):
     monkeypatch.setenv("TGCN_THREADS", "4")
     threaded = predict_windows(model, test_ws.inputs)
     assert np.array_equal(serial, threaded)
+
+
+def test_train_frees_each_step_tape_before_next_forward():
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(0)
+    forward, refs, alive_at = model.forward, [], []
+
+    def tracked(windows):
+        if refs and refs[-1]() is not None:
+            alive_at.append(len(refs))
+        out = forward(windows)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    model.forward = tracked
+    config = TrainConfig(batch_size=16, epochs=2, seed=0, eval_every=1)
+    train(model, train_ws, test_ws, ds, config)
+    assert len(refs) > 4
+    assert alive_at == []
+
+
+def _threaded_history(monkeypatch, threads):
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(6)
+    config = TrainConfig(lr=0.01, batch_size=16, epochs=10, seed=6,
+                         eval_every=1)
+    monkeypatch.setenv("TGCN_THREADS", str(threads))
+    return train(model, train_ws, test_ws, ds, config).history
+
+
+def test_threaded_training_matches_serial(monkeypatch):
+    serial = _threaded_history(monkeypatch, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
+    try:
+        threaded = _threaded_history(monkeypatch, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_recording_stays_on_after_concurrent_predict(monkeypatch):
+    from tgcn.training import predict_windows
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(7)
+    monkeypatch.setenv("TGCN_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            predict_windows(model, test_ws.inputs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ad.is_grad_enabled()
+    assert model.forward(test_ws.inputs[:1])._backward is not None
 
 
 def test_write_history(tmp_path):
