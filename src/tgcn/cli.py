@@ -26,13 +26,12 @@ def _add_common(p):
     p.add_argument("--adj", help="adjacency CSV (square, headerless)")
     p.add_argument("--features", required=True,
                    help="feature CSV, rows=timesteps unless --transpose")
-    p.add_argument("--model", default="tgcn",
-                   choices=["tgcn", "gcn", "gru", "ha"])
+    p.add_argument("--model", default="tgcn", choices=models.MODEL_KINDS)
     p.add_argument("--hidden", type=int, default=100)
     p.add_argument("--seq-len", type=int, default=12)
     p.add_argument("--horizon-steps", type=int, default=1)
     p.add_argument("--interval", type=int, default=15,
-                   help="minutes per timestep (metadata only)")
+                   help="minutes per timestep (recorded in the metrics JSON)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--transpose", action="store_true",
                    help="feature CSV has one row per road")
@@ -85,7 +84,9 @@ def build_parser():
 
     p_gc = sub.add_parser("gradcheck",
                           help="finite-difference check on a small random instance")
-    p_gc.add_argument("--model", default="tgcn", choices=["tgcn", "gcn", "gru"])
+    p_gc.add_argument("--model", default="tgcn",
+                      choices=[k for k, v in models.MODEL_KINDS.items()
+                               if v.build is not None])
     p_gc.add_argument("--nodes", type=int, default=4)
     p_gc.add_argument("--hidden", type=int, default=5)
     p_gc.add_argument("--seq-len", type=int, default=3)
@@ -95,20 +96,15 @@ def build_parser():
     return parser
 
 
-def _needs_graph(kind):
-    return kind in ("tgcn", "gcn")
-
-
 def _prepare(args, parser):
     """Load graph + features, interpolate, normalize, inject noise, window."""
     network = None
     if args.adj:
         network = graph.load_adjacency(args.adj)
-    elif _needs_graph(args.model):
+    elif models.MODEL_KINDS[args.model].needs_graph:
         parser.error(f"--adj is required for model {args.model}")
     expect = network.n_nodes if network else None
     dataset = data.load_features(args.features, expect_nodes=expect,
-                                 interval_minutes=args.interval,
                                  transpose=args.transpose,
                                  name=Path(args.features).stem)
     if args.missing_zero:
@@ -131,6 +127,7 @@ def write_metrics_json(path, report, args, perturbation=None):
         "model": args.model,
         "dataset": Path(args.features).stem,
         "horizon_steps": args.horizon_steps,
+        "interval_minutes": args.interval,
         **report.to_dict(),
     }
     if report.undefined:
@@ -146,19 +143,14 @@ def write_metrics_json(path, report, args, perturbation=None):
     return payload
 
 
-def _build_model(args, network, n_nodes):
-    prop = network.propagation if network else None
-    return models.SequenceModel(args.model, n_nodes, args.hidden,
-                                args.seq_len, args.horizon_steps,
-                                propagation=prop)
-
-
 def _train_once(args, parser):
     network, dataset, train_ws, test_ws, perturbation = _prepare(args, parser)
-    model = _build_model(args, network, dataset.n_nodes)
-    if args.model == "ha":
-        report = training.evaluate(model, test_ws, dataset)
-        return model, report, [], perturbation
+    model = models.SequenceModel(
+        args.model, dataset.n_nodes, args.hidden, args.seq_len,
+        args.horizon_steps,
+        propagation=network.propagation if network else None)
+    if not model.parameters():  # nothing to learn: historical average
+        return training.evaluate(model, test_ws, dataset), [], perturbation
     model.init_parameters(args.seed)
     config = training.TrainConfig(
         lr=args.lr, batch_size=args.batch, epochs=args.epochs,
@@ -173,19 +165,20 @@ def _train_once(args, parser):
     else:
         training.restore(model, result.best_params)
     report = training.evaluate(model, test_ws, dataset)
-    return model, report, result.history, perturbation
+    return report, result.history, perturbation
 
 
 def cmd_train(args, parser):
-    _, report, history, perturbation = _train_once(args, parser)
+    report, history, perturbation = _train_once(args, parser)
     if args.history_out and history:
         training.write_history(args.history_out, history)
     write_metrics_json(args.metrics_out, report, args, perturbation)
     return 0
 
 
-def cmd_eval(args, parser):
-    network, dataset, _, test_ws, perturbation = _prepare(args, parser)
+def _load_model(args, network):
+    """Load --checkpoint and check that it is the --model kind, trained for
+    --seq-len and --horizon-steps."""
     prop = network.propagation if network else None
     model = models.load_checkpoint(args.checkpoint, propagation=prop)
     if model.kind != args.model:
@@ -196,19 +189,22 @@ def cmd_eval(args, parser):
             f"checkpoint trained for seq_len={model.seq_len}, "
             f"horizon={model.horizon}; requested seq_len={args.seq_len}, "
             f"horizon={args.horizon_steps}")
+    return model
+
+
+def cmd_eval(args, parser):
+    network, dataset, _, test_ws, perturbation = _prepare(args, parser)
+    model = _load_model(args, network)
     report = training.evaluate(model, test_ws, dataset)
     write_metrics_json(args.metrics_out, report, args, perturbation)
-    if getattr(args, "predictions_out", None):
+    if args.predictions_out:
         _write_predictions(args.predictions_out, model, test_ws, dataset)
     return 0
 
 
 def cmd_predict(args, parser):
     network, dataset, _, test_ws, _ = _prepare(args, parser)
-    prop = network.propagation if network else None
-    model = models.load_checkpoint(args.checkpoint, propagation=prop)
-    if model.horizon != args.horizon_steps or model.seq_len != args.seq_len:
-        raise CheckpointError("checkpoint window/horizon mismatch")
+    model = _load_model(args, network)
     _write_predictions(args.predictions_out, model, test_ws, dataset)
     return 0
 
@@ -225,35 +221,31 @@ def _write_predictions(path, model, test_ws, dataset):
 def cmd_perturb(args, parser):
     if args.dist is None:
         parser.error("perturb requires --dist")
-    if args.sweep:
-        sweep = GAUSSIAN_SWEEP if args.dist == "gaussian" else POISSON_SWEEP
-        rows = []
-        base = Path(args.metrics_out) if args.metrics_out else None
-        for value in sweep:
-            args.param = value
-            _, report, _, perturbation = _train_once(args, parser)
-            out = None
-            if base is not None:
-                out = base.with_name(
-                    f"{base.stem}_{args.dist}_{value:g}{base.suffix}")
-            write_metrics_json(out, report, args, perturbation)
-            rows.append((value, report))
-        sweep_path = args.sweep_out or "perturb_sweep.csv"
-        with open(sweep_path, "w") as fh:
-            fh.write("param,rmse,mae,accuracy,r2,var\n")
-            for value, rep in rows:
-                d = rep.to_dict()
-                fh.write(",".join(
-                    [f"{value:g}"] + ["" if d[k] is None else repr(d[k])
-                                      for k in ("rmse", "mae", "accuracy",
-                                                "r2", "var")]) + "\n")
-        return 0
-    if args.param is None:
-        parser.error("perturb requires --param (or --sweep)")
-    _, report, history, perturbation = _train_once(args, parser)
-    if args.history_out and history:
-        training.write_history(args.history_out, history)
-    write_metrics_json(args.metrics_out, report, args, perturbation)
+    if not args.sweep:
+        if args.param is None:
+            parser.error("perturb requires --param (or --sweep)")
+        return cmd_train(args, parser)
+    sweep = GAUSSIAN_SWEEP if args.dist == "gaussian" else POISSON_SWEEP
+    rows = []
+    base = Path(args.metrics_out) if args.metrics_out else None
+    for value in sweep:
+        args.param = value
+        report, _, perturbation = _train_once(args, parser)
+        out = None
+        if base is not None:
+            out = base.with_name(
+                f"{base.stem}_{args.dist}_{value:g}{base.suffix}")
+        write_metrics_json(out, report, args, perturbation)
+        rows.append((value, report))
+    sweep_path = args.sweep_out or "perturb_sweep.csv"
+    with open(sweep_path, "w") as fh:
+        fh.write("param,rmse,mae,accuracy,r2,var\n")
+        for value, rep in rows:
+            d = rep.to_dict()
+            fh.write(",".join(
+                [f"{value:g}"] + ["" if d[k] is None else repr(d[k])
+                                  for k in ("rmse", "mae", "accuracy",
+                                            "r2", "var")]) + "\n")
     return 0
 
 

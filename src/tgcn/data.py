@@ -16,7 +16,6 @@ from .errors import ConfigError, DataError, ParseError
 class TimeSeriesDataset:
     """Node speed series: rows are timesteps, columns are nodes."""
     values: np.ndarray
-    interval_minutes: int = 15
     split_fraction: float = 0.8
     norm_min: float | None = None
     norm_max: float | None = None
@@ -53,41 +52,44 @@ class WindowSet:
         return self.inputs.shape[0]
 
 
-def load_features(path, expect_nodes=None, interval_minutes=15, transpose=False,
-                  name=None):
-    """Read a headerless CSV of floats; rows are timesteps unless transpose
-    is set (for files stored as one row per road)."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells)
-                           if not _is_float(c))
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {lineno}, column {bad + 1}")
+def read_csv_matrix(path):
+    """Read a headerless CSV of finite floats into a 2-D array. Blank lines
+    are skipped; every failure is a ParseError naming the path and, for a
+    bad cell, its file row and column."""
+    rows, linenos = [], []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                try:
+                    row = list(map(float, cells))
+                except ValueError:
+                    bad = next(i for i, c in enumerate(cells)
+                               if not _is_float(c))
+                    raise ParseError(f"{path}: non-numeric cell at row "
+                                     f"{lineno}, column {bad + 1}") from None
+                if rows and len(row) != len(rows[0]):
+                    raise ParseError(f"{path}: row {lineno} has {len(row)} "
+                                     f"columns, expected {len(rows[0])}")
+                rows.append(row)
+                linenos.append(lineno)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
     if not rows:
-        raise ParseError(f"{path}: empty feature file")
-    width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(
-                f"{path}: row {i} has {len(r)} columns, expected {width}")
+        raise ParseError(f"{path}: empty file")
     values = np.array(rows, dtype=np.float64)
-    if transpose:
-        values = values.T
-    if expect_nodes is not None and values.shape[1] != expect_nodes:
-        raise ParseError(
-            f"{path}: {values.shape[1]} nodes, expected {expect_nodes}")
-    if name is None:
-        name = str(path)
-    return TimeSeriesDataset(values=values, interval_minutes=interval_minutes,
-                             name=name)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}: non-finite cell at row {linenos[i]}, "
+                         f"column {j + 1}")
+    return values
 
 
 def _is_float(s):
@@ -96,6 +98,20 @@ def _is_float(s):
         return True
     except ValueError:
         return False
+
+
+def load_features(path, expect_nodes=None, transpose=False, name=None):
+    """Read a headerless CSV of floats; rows are timesteps unless transpose
+    is set (for files stored as one row per road)."""
+    values = read_csv_matrix(path)
+    if transpose:
+        values = values.T
+    if expect_nodes is not None and values.shape[1] != expect_nodes:
+        raise ParseError(
+            f"{path}: {values.shape[1]} nodes, expected {expect_nodes}")
+    if name is None:
+        name = str(path)
+    return TimeSeriesDataset(values=values, name=name)
 
 
 def interpolate_missing(dataset, missing_marker=0.0):
@@ -143,6 +159,9 @@ def make_windows(dataset, seq_len, horizon):
     starts at or after s is a test window; windows touching the boundary are
     dropped so no training window ever sees post-split values.
     """
+    if seq_len < 1 or horizon < 1:
+        raise ConfigError(f"seq_len and horizon must be >= 1, got {seq_len} "
+                          f"and {horizon}")
     values = dataset.values
     total = values.shape[0]
     if total < seq_len + horizon + 1:

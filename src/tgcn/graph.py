@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_csv_matrix
 from .errors import InvalidGraph, ParseError
 
 SYMMETRY_TOL = 1e-9
@@ -49,51 +50,8 @@ def road_network(adjacency):
 
 def load_adjacency(path):
     """Read a headerless square CSV of nonnegative floats into a RoadNetwork."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells)
-                           if not _is_float(c))
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {lineno}, column {bad + 1}")
-    if not rows:
-        raise ParseError(f"{path}: empty adjacency file")
-    width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(
-                f"{path}: row {i} has {len(r)} columns, expected {width}")
-    if len(rows) != width:
+    a = read_csv_matrix(path)
+    if a.shape[0] != a.shape[1]:
         raise ParseError(
-            f"{path}: matrix is {len(rows)}x{width}, expected square")
-    return road_network(np.array(rows, dtype=np.float64))
-
-
-def _is_float(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-def spectral_radius_estimate(m, iters=200, seed=0):
-    """Power-iteration estimate of the spectral radius (validation helper)."""
-    m = np.asarray(m, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-    return float(np.abs(v @ (m @ v)))
+            f"{path}: matrix is {a.shape[0]}x{a.shape[1]}, expected square")
+    return road_network(a)

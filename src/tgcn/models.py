@@ -11,48 +11,71 @@ from __future__ import annotations
 
 import json
 import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ShapeError
-
-MODEL_KINDS = ("tgcn", "gcn", "gru", "ha")
+from .errors import CheckpointError, ConfigError, ShapeError
 
 CHECKPOINT_MAGIC = b"TGCN"
 CHECKPOINT_VERSION = 1
+
+GATE_PARAMS = ("w_u", "w_r", "w_c", "b_u", "b_r", "b_c")
+
+
+def _param(rows, cols):
+    return Tensor(np.zeros((rows, cols)), requires_grad=True)
+
+
+def _is_bias(name):
+    return name.startswith("b_") or name == "proj_b"
 
 
 class GcnEncoder:
     """Two-layer graph convolution: prop @ relu(prop @ X @ W0) @ W1.
 
     The outer activation is the identity; the consuming gates (or linear
-    head) apply their own nonlinearity.
+    head) apply their own nonlinearity. `params` holds the weights under
+    their checkpoint names.
     """
 
     def __init__(self, propagation, in_dim, gc_hidden, out_dim):
         self.propagation = np.asarray(propagation, dtype=np.float64)
-        self.w0 = Tensor(np.zeros((in_dim, gc_hidden)), requires_grad=True)
-        self.w1 = Tensor(np.zeros((gc_hidden, out_dim)), requires_grad=True)
+        self.w0 = _param(in_dim, gc_hidden)
+        self.w1 = _param(gc_hidden, out_dim)
+        self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
     def forward(self, x, batch=1):
         h = ad.relu(ad.graph_propagate(self.propagation, x, batch) @ self.w0)
         return ad.graph_propagate(self.propagation, h, batch) @ self.w1
 
+    def encode(self, windows):
+        """GCN baseline: each node's seq_len past values are its features."""
+        batch, seq_len, n = windows.shape
+        feats = Tensor(windows.transpose(0, 2, 1).reshape(batch * n, seq_len))
+        return self.forward(feats, batch)
+
 
 class TgcnCell:
-    """GRU-style cell whose input transform is the graph convolution."""
+    """GRU-style cell whose input transform is the graph convolution.
+
+    `params` holds the input transform's weights, then the gate weights
+    and biases (`GATE_PARAMS`, also attributes), under their checkpoint
+    names.
+    """
 
     def __init__(self, propagation, hidden):
-        self.hidden = hidden
         self.gcn = GcnEncoder(propagation, 1, hidden, hidden)
-        self.w_u = Tensor(np.zeros((2 * hidden, hidden)), requires_grad=True)
-        self.w_r = Tensor(np.zeros((2 * hidden, hidden)), requires_grad=True)
-        self.w_c = Tensor(np.zeros((2 * hidden, hidden)), requires_grad=True)
-        self.b_u = Tensor(np.zeros((1, hidden)), requires_grad=True)
-        self.b_r = Tensor(np.zeros((1, hidden)), requires_grad=True)
-        self.b_c = Tensor(np.zeros((1, hidden)), requires_grad=True)
+        self._init_gates(self.gcn.params, hidden)
+
+    def _init_gates(self, input_params, hidden):
+        self.hidden = hidden
+        gates = {name: _param(2 * hidden if name[0] == "w" else 1, hidden)
+                 for name in GATE_PARAMS}
+        vars(self).update(gates)
+        self.params = {**input_params, **gates}
 
     def input_transform(self, x_t, batch):
         return self.gcn.forward(x_t, batch)
@@ -62,86 +85,99 @@ class TgcnCell:
         return ad.gru_step(g, h_prev, self.w_u, self.w_r, self.w_c,
                            self.b_u, self.b_r, self.b_c)
 
+    def encode(self, windows):
+        """Unroll over the window from a zero state; the last hidden state."""
+        batch, seq_len, n = windows.shape
+        h = Tensor(np.zeros((batch * n, self.hidden)))
+        for t in range(seq_len):
+            x_t = Tensor(windows[:, t, :].reshape(batch * n, 1))
+            h = self.step(x_t, h, batch)
+        return h
+
 
 class GruCell(TgcnCell):
     """Plain GRU baseline: the per-node input is lifted to hidden width by a
     learned linear map instead of a graph convolution."""
 
     def __init__(self, hidden):
-        super().__init__(np.eye(1), hidden)
-        del self.gcn
-        self.w_in = Tensor(np.zeros((1, hidden)), requires_grad=True)
+        self.w_in = _param(1, hidden)
+        self._init_gates({"w_in": self.w_in}, hidden)
 
     def input_transform(self, x_t, batch):
         return x_t @ self.w_in
 
 
-class SequenceModel:
-    """One forecasting model: a cell or encoder plus the linear output head.
+class ModelKind(NamedTuple):
+    needs_graph: bool
+    # model -> the component before its linear head; None for the
+    # historical average, which learns nothing
+    build: Callable | None
 
-    kind is one of {tgcn, gcn, gru, ha}. Prediction maps a window of
-    seq_len timesteps over n_nodes to horizon future values per node.
+
+MODEL_KINDS = {
+    "tgcn": ModelKind(True, lambda m: TgcnCell(m.propagation, m.hidden)),
+    "gcn": ModelKind(True, lambda m: GcnEncoder(m.propagation, m.seq_len,
+                                                m.hidden, m.hidden)),
+    "gru": ModelKind(False, lambda m: GruCell(m.hidden)),
+    "ha": ModelKind(False, None),
+}
+
+
+class SequenceModel:
+    """One forecasting model: an encoder (a recurrent cell unrolled over the
+    window, or the GCN over the whole window) plus the linear output head.
+
+    kind is a key of MODEL_KINDS. Prediction maps a window of seq_len
+    timesteps over n_nodes to horizon future values per node.
     """
 
     def __init__(self, kind, n_nodes, hidden, seq_len, horizon, propagation=None):
         if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        if horizon < 1 or seq_len < 1:
-            raise ValueError("seq_len and horizon must be >= 1")
+            raise ConfigError(f"unknown model kind {kind!r}")
+        needs_graph, build = MODEL_KINDS[kind]
+        sizes = {"n_nodes": n_nodes, "seq_len": seq_len, "horizon": horizon}
+        if build is not None:
+            sizes["hidden"] = hidden
+        for name, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{name!r} must be >= 1, got {value}")
+        self.propagation = None
+        if needs_graph:
+            if propagation is None:
+                raise ConfigError(f"model kind {kind} requires a road network")
+            self.propagation = np.asarray(propagation, dtype=np.float64)
+            if self.propagation.shape != (n_nodes, n_nodes):
+                raise ConfigError(f"model has {n_nodes} nodes, graph has "
+                                  f"shape {self.propagation.shape}")
         self.kind = kind
         self.n_nodes = n_nodes
         self.hidden = hidden
         self.seq_len = seq_len
         self.horizon = horizon
-        self.propagation = None
-        self.cell = None
-        self.encoder = None
-        if kind == "tgcn":
-            self.propagation = np.asarray(propagation, dtype=np.float64)
-            self.cell = TgcnCell(self.propagation, hidden)
-        elif kind == "gru":
-            self.cell = GruCell(hidden)
-        elif kind == "gcn":
-            self.propagation = np.asarray(propagation, dtype=np.float64)
-            self.encoder = GcnEncoder(self.propagation, seq_len, hidden, hidden)
-        if kind == "ha":
-            self.proj_w = None
-            self.proj_b = None
-        else:
-            self.proj_w = Tensor(np.zeros((hidden, horizon)), requires_grad=True)
-            self.proj_b = Tensor(np.zeros((1, horizon)), requires_grad=True)
+        self.encoder = self.proj_w = self.proj_b = None
+        if build is not None:
+            self.encoder = build(self)
+            self.proj_w = _param(hidden, horizon)
+            self.proj_b = _param(1, horizon)
 
     # -- parameter bookkeeping --------------------------------------------
 
     def parameters(self):
         """Ordered name -> Tensor mapping of all learnable parameters."""
-        params = {}
-        if self.kind == "tgcn":
-            params["gcn.w0"] = self.cell.gcn.w0
-            params["gcn.w1"] = self.cell.gcn.w1
-        elif self.kind == "gcn":
-            params["gcn.w0"] = self.encoder.w0
-            params["gcn.w1"] = self.encoder.w1
-        elif self.kind == "gru":
-            params["w_in"] = self.cell.w_in
-        if self.cell is not None:
-            for name in ("w_u", "w_r", "w_c", "b_u", "b_r", "b_c"):
-                params[name] = getattr(self.cell, name)
-        if self.proj_w is not None:
-            params["proj_w"] = self.proj_w
-            params["proj_b"] = self.proj_b
-        return params
+        if self.encoder is None:
+            return {}
+        return {**self.encoder.params,
+                "proj_w": self.proj_w, "proj_b": self.proj_b}
 
     def weight_parameters(self):
         """Weights subject to L2 regularization (biases excluded)."""
-        return {k: v for k, v in self.parameters().items()
-                if not k.startswith("b_") and k != "proj_b"}
+        return {k: v for k, v in self.parameters().items() if not _is_bias(k)}
 
     def init_parameters(self, seed):
         """Glorot-uniform weights, zero biases, deterministic per seed."""
         rng = np.random.default_rng(seed)
         for name, p in self.parameters().items():
-            if name.startswith("b_") or name == "proj_b":
+            if _is_bias(name):
                 p.data[:] = 0.0
             else:
                 fan_in, fan_out = p.shape
@@ -155,26 +191,17 @@ class SequenceModel:
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim == 2:
             windows = windows[None]
-        batch, seq_len, n = windows.shape
+        _, seq_len, n = windows.shape
         if seq_len != self.seq_len:
             raise ShapeError(
                 f"window has {seq_len} timesteps, model expects {self.seq_len}")
         if n != self.n_nodes:
             raise ShapeError(
                 f"window has {n} nodes, model expects {self.n_nodes}")
-        if self.kind == "ha":
+        if self.encoder is None:
             return Tensor(np.concatenate(
                 [ha_predict(w, self.horizon) for w in windows], axis=0))
-        if self.kind == "gcn":
-            # window as per-node feature vector of seq_len past values
-            feats = Tensor(windows.transpose(0, 2, 1).reshape(batch * n, seq_len))
-            h = self.encoder.forward(feats, batch)
-        else:
-            h = Tensor(np.zeros((batch * n, self.hidden)))
-            for t in range(seq_len):
-                x_t = Tensor(windows[:, t, :].reshape(batch * n, 1))
-                h = self.cell.step(x_t, h, batch)
-        return h @ self.proj_w + self.proj_b
+        return self.encoder.encode(windows) @ self.proj_w + self.proj_b
 
     def predict(self, windows):
         """Inference without graph recording; returns (batch, n, horizon)."""
@@ -220,13 +247,9 @@ def save_checkpoint(model, path):
             fh.write(p.data.astype("<f8").tobytes())
 
 
-# the smallest value of each size a saved model can have
-_HEADER_SIZES = {"n_nodes": 1, "hidden": 0, "seq_len": 1, "horizon": 1}
-
-
 def _check_header(path, header):
     """Raise CheckpointError naming the first header key that is missing or
-    has the wrong type or range."""
+    has the wrong type; SequenceModel checks the ranges."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
 
@@ -238,17 +261,19 @@ def _check_header(path, header):
 
     if header.get("kind") not in MODEL_KINDS:
         raise bad("kind", f"one of {', '.join(MODEL_KINDS)}")
-    for key, least in _HEADER_SIZES.items():
-        value = header.get(key)
-        if type(value) is not int or value < least:
-            raise bad(key, f"an integer >= {least}")
+    for key in ("n_nodes", "hidden", "seq_len", "horizon"):
+        if type(header.get(key)) is not int:
+            raise bad(key, "an integer")
     if not isinstance(header.get("params"), list):
         raise bad("params", "a list of [name, shape] pairs")
 
 
 def load_checkpoint(path, propagation=None):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc.strerror}") from exc
     if len(raw) < 10 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     (version,) = struct.unpack("<H", raw[4:6])
@@ -262,18 +287,12 @@ def load_checkpoint(path, propagation=None):
     except ValueError:
         raise CheckpointError(f"{path}: corrupt header JSON")
     _check_header(path, header)
-    kind = header["kind"]
-    if kind in ("tgcn", "gcn"):
-        if propagation is None:
-            raise CheckpointError(f"model kind {kind} requires a road network")
-        propagation = np.asarray(propagation, dtype=np.float64)
-        if propagation.shape[0] != header["n_nodes"]:
-            raise CheckpointError(
-                f"checkpoint has {header['n_nodes']} nodes, "
-                f"graph has {propagation.shape[0]}")
-    model = SequenceModel(kind, header["n_nodes"], header["hidden"],
-                          header["seq_len"], header["horizon"],
-                          propagation=propagation)
+    try:
+        model = SequenceModel(header["kind"], header["n_nodes"],
+                              header["hidden"], header["seq_len"],
+                              header["horizon"], propagation=propagation)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     params = model.parameters()
     expected = [[name, list(p.shape)] for name, p in params.items()]
     if header["params"] != expected:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError, TrainingDiverged
+from .errors import ConfigError, ShapeError, TrainingDiverged
 from .metrics import MetricsReport, compute_metrics
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "rmse", "mae", "accuracy", "r2", "var")
@@ -29,9 +29,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("lr >= 0, batch_size >= 1, epochs >= 1 required")
+            raise ConfigError("lr >= 0, batch_size >= 1, epochs >= 1 required")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+            raise ConfigError("weight_decay must be >= 0")
 
 
 class Adam:

@@ -192,6 +192,53 @@ def test_parse_error_reported_structured(tmp_path, ring_files, capsys):
     assert "row 2" in err["message"]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--hidden", "-1"), ("--hidden", "0"), ("--seq-len", "0"),
+    ("--seq-len", "-1"), ("--horizon-steps", "0"), ("--horizon-steps", "-1"),
+    ("--batch", "0"), ("--epochs", "0"),
+])
+def test_bad_size_flag_config_error(ring_files, capsys, flag, value):
+    adj, feat = ring_files
+    rc = run(["train", "--adj", adj, "--features", feat, "--model", "tgcn",
+              *FAST, flag, value])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
+def test_predict_checks_checkpoint_kind(tmp_path, ring_files, capsys):
+    adj, feat = ring_files
+    ckpt = tmp_path / "model.ckpt"
+    run(["train", "--adj", adj, "--features", feat, "--model", "gru", *FAST,
+         "--out", str(ckpt)])
+    rc = run(["predict", "--adj", adj, "--features", feat, "--model", "tgcn",
+              "--seq-len", "4", "--checkpoint", str(ckpt),
+              "--predictions-out", str(tmp_path / "preds.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CheckpointError"
+    assert "gru" in err["message"]
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_eval_missing_checkpoint(tmp_path, ring_files, capsys):
+    adj, feat = ring_files
+    rc = run(["eval", "--adj", adj, "--features", feat, "--seq-len", "4",
+              "--checkpoint", str(tmp_path / "nope.ckpt")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CheckpointError"
+    assert "nope.ckpt" in err["message"]
+
+
+def test_interval_recorded_in_metrics(tmp_path, ring_files):
+    _, feat = ring_files
+    metrics = tmp_path / "metrics.json"
+    run(["train", "--features", feat, "--model", "ha", "--seq-len", "4",
+         "--interval", "5", "--metrics-out", str(metrics)])
+    assert read_json(metrics)["interval_minutes"] == 5
+
+
 def test_eval_malformed_checkpoint_header_clean_error(tmp_path, ring_files):
     adj, feat = ring_files
     ckpt = tmp_path / "model.ckpt"

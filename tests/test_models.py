@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
-from tgcn.errors import CheckpointError, ShapeError
+from tgcn.errors import CheckpointError, ConfigError, ShapeError
 from tgcn.graph import build_propagation
 from tgcn.models import (GcnEncoder, GruCell, SequenceModel, TgcnCell,
                          ha_predict, load_checkpoint, save_checkpoint)
@@ -208,7 +209,7 @@ def test_seq_len_one_equals_single_step():
     window = rng.random((1, 4))
     pred = model.predict(window)
     with ad.no_grad():
-        h = model.cell.step(Tensor(window.T), Tensor(np.zeros((4, 3))))
+        h = model.encoder.step(Tensor(window.T), Tensor(np.zeros((4, 3))))
         want = h.data @ model.proj_w.data + model.proj_b.data
     assert np.allclose(pred, want, atol=1e-15)
 
@@ -218,6 +219,24 @@ def test_forward_wrong_window_length():
     model = SequenceModel("tgcn", 3, 4, 5, 1, propagation=prop)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("tgcn", (0, 4, 5, 1)), ("gcn", (3, 4, 0, 1)), ("gru", (3, 4, 5, 0)),
+    ("tgcn", (3, 0, 5, 1)), ("gru", (3, -1, 5, 1)), ("ha", (3, 1, 0, 1)),
+])
+def test_sizes_validated(kind, sizes):
+    prop = random_graph(np.random.default_rng(12), 3)
+    with pytest.raises(ConfigError):
+        SequenceModel(kind, *sizes, propagation=prop)
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gcn"])
+def test_graph_kind_needs_fitting_propagation(kind):
+    with pytest.raises(ConfigError, match="road network"):
+        SequenceModel(kind, 3, 4, 5, 1)
+    with pytest.raises(ConfigError, match="3 nodes"):
+        SequenceModel(kind, 3, 4, 5, 1, propagation=np.eye(4))
 
 
 def test_unrolled_gradcheck():
@@ -369,6 +388,35 @@ def test_checkpoint_round_trip_gru(tmp_path):
     loaded = load_checkpoint(path)
     window = np.random.default_rng(19).random((5, 4))
     assert np.array_equal(model.predict(window), loaded.predict(window))
+
+
+# SHA-256 of checkpoint v1 files of seeded 3-node models (hidden 4, seq_len
+# 5, horizon 2) as written before the model layer was reorganised: pins the
+# byte layout, the parameter order and the order of the initial draws
+PINNED_CHECKPOINTS = {
+    "tgcn": "5391d7902eb5918b76a202b500b02b9af91937cace83582f1d67f2a0f9da2f9a",
+    "gcn": "14e3ce2a7150c6a2b9a052c402888c5f981779f0d126fcbfea34bb58562a150c",
+    "gru": "0a015ef9f0bea9f492d0fca4787bd042250bf456a8418ce7bb0b17e093d3740b",
+    "ha": "ad2a800173feb1e5a577f76f8e674e7adcdf58242a2fa96fe41e3224a1fbbfc4",
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_CHECKPOINTS)
+def test_checkpoint_v1_bytes_pinned(tmp_path, kind):
+    prop = build_propagation([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    model = SequenceModel(kind, 3, 4, 5, 2, propagation=prop)
+    model.init_parameters(11)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_CHECKPOINTS[kind]
+    loaded = load_checkpoint(path, propagation=prop)
+    assert list(loaded.parameters()) == list(model.parameters())
+
+
+def test_checkpoint_missing_file(tmp_path):
+    with pytest.raises(CheckpointError, match="absent.ckpt"):
+        load_checkpoint(tmp_path / "absent.ckpt")
 
 
 def test_checkpoint_corrupt_magic(tmp_path):
