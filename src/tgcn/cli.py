@@ -105,8 +105,7 @@ def _prepare(args, parser):
         parser.error(f"--adj is required for model {args.model}")
     expect = network.n_nodes if network else None
     dataset = data.load_features(args.features, expect_nodes=expect,
-                                 transpose=args.transpose,
-                                 name=Path(args.features).stem)
+                                 transpose=args.transpose)
     if args.missing_zero:
         dataset = data.interpolate_missing(dataset, missing_marker=0.0)
     dataset = data.normalize(dataset)
@@ -149,23 +148,22 @@ def _train_once(args, parser):
         args.model, dataset.n_nodes, args.hidden, args.seq_len,
         args.horizon_steps,
         propagation=network.propagation if network else None)
-    if not model.parameters():  # nothing to learn: historical average
-        return training.evaluate(model, test_ws, dataset), [], perturbation
-    model.init_parameters(args.seed)
-    config = training.TrainConfig(
-        lr=args.lr, batch_size=args.batch, epochs=args.epochs,
-        weight_decay=args.weight_decay, seed=args.seed,
-        eval_every=args.eval_every, clip=args.clip)
-    result = training.train(model, train_ws, test_ws, dataset, config)
+    history, best = [], {}
+    if model.parameters():  # the historical average learns nothing
+        model.init_parameters(args.seed)
+        config = training.TrainConfig(
+            lr=args.lr, batch_size=args.batch, epochs=args.epochs,
+            weight_decay=args.weight_decay, seed=args.seed,
+            eval_every=args.eval_every, clip=args.clip)
+        result = training.train(model, train_ws, test_ws, dataset, config)
+        history, best = result.history, result.best_params
     if args.out:
-        final_path = str(args.out) + ".final"
-        models.save_checkpoint(model, final_path)
-        training.restore(model, result.best_params)
+        models.save_checkpoint(model, str(args.out) + ".final")
+    training.restore(model, best)
+    if args.out:
         models.save_checkpoint(model, args.out)
-    else:
-        training.restore(model, result.best_params)
     report = training.evaluate(model, test_ws, dataset)
-    return report, result.history, perturbation
+    return report, history, perturbation
 
 
 def cmd_train(args, parser):
@@ -213,7 +211,7 @@ def _write_predictions(path, model, test_ws, dataset):
     """One row per test window; columns are node-major, horizon-minor,
     denormalized speed values."""
     preds = training.predict_windows(model, test_ws.inputs)
-    preds = dataset.denormalize(preds)
+    preds = data.denormalize(dataset, preds)
     flat = preds.reshape(preds.shape[0], -1)
     np.savetxt(path, flat, delimiter=",", fmt="%.10g")
 

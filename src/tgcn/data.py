@@ -5,21 +5,21 @@ perturbation experiments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+
+SPLIT_FRACTION = 0.8  # the first 80% of the timesteps are the training rows
 
 
 @dataclass
 class TimeSeriesDataset:
     """Node speed series: rows are timesteps, columns are nodes."""
     values: np.ndarray
-    split_fraction: float = 0.8
     norm_min: float | None = None
     norm_max: float | None = None
-    name: str = "dataset"
 
     @property
     def n_timesteps(self):
@@ -31,14 +31,11 @@ class TimeSeriesDataset:
 
     @property
     def split_index(self):
-        return int(np.floor(self.split_fraction * self.n_timesteps))
+        return int(np.floor(SPLIT_FRACTION * self.n_timesteps))
 
     @property
     def is_normalized(self):
         return self.norm_min is not None
-
-    def denormalize(self, matrix):
-        return denormalize(self, matrix)
 
 
 @dataclass
@@ -46,7 +43,6 @@ class WindowSet:
     """Sliding windows: inputs (count, seq_len, n), targets (count, n, horizon)."""
     inputs: np.ndarray
     targets: np.ndarray
-    starts: list = field(default_factory=list)
 
     def __len__(self):
         return self.inputs.shape[0]
@@ -100,7 +96,7 @@ def _is_float(s):
         return False
 
 
-def load_features(path, expect_nodes=None, transpose=False, name=None):
+def load_features(path, expect_nodes=None, transpose=False):
     """Read a headerless CSV of floats; rows are timesteps unless transpose
     is set (for files stored as one row per road)."""
     values = read_csv_matrix(path)
@@ -109,9 +105,7 @@ def load_features(path, expect_nodes=None, transpose=False, name=None):
     if expect_nodes is not None and values.shape[1] != expect_nodes:
         raise ParseError(
             f"{path}: {values.shape[1]} nodes, expected {expect_nodes}")
-    if name is None:
-        name = str(path)
-    return TimeSeriesDataset(values=values, name=name)
+    return TimeSeriesDataset(values=values)
 
 
 def interpolate_missing(dataset, missing_marker=0.0):
@@ -154,10 +148,12 @@ def denormalize(dataset, matrix):
 def make_windows(dataset, seq_len, horizon):
     """Chronological split into train/test window sets.
 
-    With s the split index: a window whose whole span (inputs and targets)
-    lies strictly before s is a training window; a window whose target block
-    starts at or after s is a test window; windows touching the boundary are
-    dropped so no training window ever sees post-split values.
+    The window starting at t has inputs t .. t+seq_len-1 and targets
+    t+seq_len .. t+seq_len+horizon-1. With s the split index, it is a
+    training window if t+seq_len+horizon < s, so its targets end at s-2 or
+    earlier, and a test window if t+seq_len >= s, so its targets start at
+    or after s. The windows in between are in neither set: those whose
+    targets straddle s, and the one whose targets end at s-1.
     """
     if seq_len < 1 or horizon < 1:
         raise ConfigError(f"seq_len and horizon must be >= 1, got {seq_len} "
@@ -168,30 +164,21 @@ def make_windows(dataset, seq_len, horizon):
         raise DataError(
             f"series of length {total} too short for seq_len={seq_len}, "
             f"horizon={horizon}")
-    s = dataset.split_index
-    train_in, train_tg, train_starts = [], [], []
-    test_in, test_tg, test_starts = [], [], []
-    for t in range(total - seq_len - horizon + 1):
-        window = values[t:t + seq_len]
-        target = values[t + seq_len:t + seq_len + horizon].T  # (n, horizon)
-        if t + seq_len + horizon < s:
-            train_in.append(window)
-            train_tg.append(target)
-            train_starts.append(t)
-        elif t + seq_len >= s:
-            test_in.append(window)
-            test_tg.append(target)
-            test_starts.append(t)
-    n = values.shape[1]
+    s, n = dataset.split_index, dataset.n_nodes
 
-    def pack(ins, tgs, starts):
-        if ins:
-            return WindowSet(np.stack(ins), np.stack(tgs), starts)
-        return WindowSet(np.empty((0, seq_len, n)),
-                         np.empty((0, n, horizon)), [])
+    def gather(starts):
+        # one fancy index per array builds it C-ordered in its final shape:
+        # no transposed temporary, and a reduction over a window (the
+        # historical average) sums in the same order whatever the layout
+        # of values
+        starts = starts[:, None]
+        steps = starts + seq_len + np.arange(horizon)
+        return WindowSet(values[starts + np.arange(seq_len)],
+                         values[steps[:, None], np.arange(n)[:, None]])
 
-    return (pack(train_in, train_tg, train_starts),
-            pack(test_in, test_tg, test_starts))
+    return (gather(np.arange(s - seq_len - horizon)),
+            gather(np.arange(max(0, s - seq_len),
+                             total - seq_len - horizon + 1)))
 
 
 def rescaled_noise_matrix(shape, dist, param, seed):

@@ -32,6 +32,10 @@ def build_propagation(adjacency):
         raise InvalidGraph(f"adjacency must be square, got shape {a.shape}")
     if a.size == 0:
         raise InvalidGraph("adjacency is empty")
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InvalidGraph(f"non-finite entry at ({i}, {j})")
     if np.any(a < 0):
         i, j = np.argwhere(a < 0)[0]
         raise InvalidGraph(f"negative entry at ({i}, {j})")

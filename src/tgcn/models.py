@@ -293,6 +293,11 @@ def load_checkpoint(path, propagation=None):
                               header["horizon"], propagation=propagation)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    except (MemoryError, ValueError) as exc:  # numpy refused the allocation
+        sizes = ", ".join(f"{k}={header[k]}" for k in
+                          ("n_nodes", "hidden", "seq_len", "horizon"))
+        raise CheckpointError(f"{path}: header sizes {sizes} are too large "
+                              f"to build ({exc})") from None
     params = model.parameters()
     expected = [[name, list(p.shape)] for name, p in params.items()]
     if header["params"] != expected:
@@ -304,6 +309,8 @@ def load_checkpoint(path, propagation=None):
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated data for {name}")
         p.data[:] = np.frombuffer(chunk, dtype="<f8").reshape(p.shape)
+        if not np.all(np.isfinite(p.data)):
+            raise CheckpointError(f"{path}: non-finite value in {name}")
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameters")

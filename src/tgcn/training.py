@@ -11,10 +11,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import denormalize
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .metrics import MetricsReport, compute_metrics
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "rmse", "mae", "accuracy", "r2", "var")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator
 
 
 @dataclass
@@ -37,12 +39,9 @@ class TrainConfig:
 class Adam:
     """Standard bias-corrected Adam over a name -> Tensor parameter dict."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -53,11 +52,11 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise TrainingDiverged(f"non-finite gradient for {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            m_hat = self.m[name] / (1 - BETA1 ** self.t)
+            v_hat = self.v[name] / (1 - BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -80,8 +79,9 @@ def loss(pred, truth, weights=None, lam=0.0):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
-    if max_norm is None or max_norm <= 0:
+    """Scale all gradients in place so their global L2 norm is <= max_norm;
+    max_norm <= 0 disables clipping."""
+    if max_norm <= 0:
         return
     total = 0.0
     for p in params.values():
@@ -119,8 +119,8 @@ def predict_windows(model, inputs):
 def evaluate(model, window_set, dataset):
     """Metrics on denormalized predictions over a whole window set."""
     preds = predict_windows(model, window_set.inputs)
-    truth = dataset.denormalize(window_set.targets)
-    pred = dataset.denormalize(preds)
+    truth = denormalize(dataset, window_set.targets)
+    pred = denormalize(dataset, preds)
     return compute_metrics(truth, pred)
 
 

@@ -124,7 +124,7 @@ def test_criterion_5_ha_sz_taxi():
     adj, feat = _dataset_files("sz")
     rmses = []
     for horizon in (1, 2, 3, 4):
-        ds = data.load_features(feat, transpose=True, name="sz")
+        ds = data.load_features(feat, transpose=True)
         ds = data.normalize(ds)
         _, test_ws = data.make_windows(ds, seq_len=12, horizon=horizon)
         model = SequenceModel("ha", ds.n_nodes, 1, 12, horizon)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_csv
 from tgcn import cli
 
 FAST = ["--hidden", "4", "--seq-len", "4", "--epochs", "3", "--batch", "32",
@@ -52,6 +53,41 @@ def test_train_ha_no_training_needed(tmp_path, ring_files):
     payload = read_json(metrics)
     assert payload["model"] == "ha"
     assert payload["rmse"] > 0
+
+
+def test_train_ha_writes_checkpoint_that_eval_reads(tmp_path, ring_files):
+    _, feat = ring_files
+    ckpt = tmp_path / "ha.ckpt"
+    m_train = tmp_path / "train_metrics.json"
+    m_eval = tmp_path / "eval_metrics.json"
+    rc = run(["train", "--features", feat, "--model", "ha", "--seq-len", "4",
+              "--out", str(ckpt), "--metrics-out", str(m_train)])
+    assert rc == 0
+    assert ckpt.exists() and ckpt.with_suffix(".ckpt.final").exists()
+    rc = run(["eval", "--features", feat, "--model", "ha", "--seq-len", "4",
+              "--checkpoint", str(ckpt), "--metrics-out", str(m_eval)])
+    assert rc == 0
+    a, b = read_json(m_train), read_json(m_eval)
+    a.pop("timestamp"), b.pop("timestamp")
+    assert a == b
+
+
+@pytest.mark.parametrize("model", ["ha", "gcn"])
+def test_transposed_features_same_metrics(tmp_path, ring_files, model):
+    adj, feat = ring_files
+    feat_t = write_csv(tmp_path / "speed_t.csv",
+                       np.loadtxt(feat, delimiter=",").T)
+    payloads = []
+    for path, extra in ((feat, []), (feat_t, ["--transpose"])):
+        metrics = tmp_path / "metrics.json"
+        rc = run(["train", "--adj", adj, "--features", path, "--model", model,
+                  *FAST, "--seq-len", "12", "--horizon-steps", "3", *extra,
+                  "--metrics-out", str(metrics)])
+        assert rc == 0
+        payload = read_json(metrics)
+        payload.pop("timestamp"), payload.pop("dataset")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_ha_horizon_invariant(tmp_path, ring_files):

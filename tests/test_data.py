@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_csv
 from tgcn import data
@@ -83,7 +85,7 @@ def test_normalize_round_trip():
     rng = np.random.default_rng(1)
     ds = make_dataset(rng.uniform(3, 80, size=(40, 4)))
     norm = data.normalize(ds)
-    back = norm.denormalize(norm.values)
+    back = data.denormalize(norm, norm.values)
     assert np.max(np.abs(back - ds.values)) < 1e-12
     train = norm.values[:norm.split_index]
     assert train.min() >= 0.0 and train.max() <= 1.0
@@ -106,8 +108,9 @@ def test_make_windows_counts_20_timesteps():
 def test_make_windows_adjacency():
     ds = data.normalize(make_dataset(np.arange(30.0)[:, None] + 1))
     train, test = data.make_windows(ds, seq_len=4, horizon=2)
-    for ws in (train, test):
-        for i, start in enumerate(ws.starts):
+    for ws, first in ((train, 0), (test, ds.split_index - 4)):
+        for start in range(first, first + len(ws)):
+            i = start - first
             assert np.array_equal(ws.inputs[i],
                                   ds.values[start:start + 4])
             assert np.array_equal(ws.targets[i],
@@ -117,7 +120,7 @@ def test_make_windows_adjacency():
 def test_make_windows_stride_one_overlap():
     ds = data.normalize(make_dataset(np.arange(30.0)[:, None] + 1))
     train, _ = data.make_windows(ds, seq_len=4, horizon=1)
-    assert train.starts == list(range(len(train)))
+    assert np.array_equal(train.inputs[:, 0], ds.values[:len(train)])
     assert np.array_equal(train.inputs[0][1:], train.inputs[1][:-1])
 
 
@@ -144,6 +147,66 @@ def test_make_windows_horizon_exhausts_test():
     ds = data.normalize(make_dataset(np.arange(20.0)[:, None] + 1))
     _, test = data.make_windows(ds, seq_len=3, horizon=10)
     assert len(test) == 0
+
+
+# (T, seq_len, horizon) -> split index s, then the train and the test
+# starts as (count, first, last); the window whose targets end at s-1,
+# t = s - seq_len - horizon, is in neither set
+PINNED_WINDOWS = {
+    (20, 3, 1): (16, (12, 0, 11), (4, 13, 16)),
+    (30, 4, 2): (24, (18, 0, 17), (5, 20, 24)),
+    (240, 12, 3): (192, (177, 0, 176), (46, 180, 225)),
+    (2976, 12, 1): (2380, (2367, 0, 2366), (596, 2368, 2963)),
+    (14, 12, 1): (11, (0, None, None), (2, 0, 1)),
+    (20, 3, 10): (16, (3, 0, 2), (0, None, None)),
+}
+
+
+@pytest.mark.parametrize("shape", PINNED_WINDOWS)
+def test_make_windows_pinned_counts_and_starts(shape):
+    total, seq_len, horizon = shape
+    split, want_train, want_test = PINNED_WINDOWS[shape]
+    ds = make_dataset(np.arange(float(total))[:, None])
+    assert ds.split_index == split
+    for ws, (count, first, last) in zip(
+            data.make_windows(ds, seq_len, horizon), (want_train, want_test)):
+        starts = ws.inputs[:, 0, 0].astype(int).tolist()  # values[t] == t
+        assert len(ws) == count
+        if count:
+            assert (starts[0], starts[-1]) == (first, last)
+            assert starts == list(range(first, last + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(total=st.integers(1, 60), n=st.integers(1, 3),
+       seq_len=st.integers(-1, 9), horizon=st.integers(-1, 6))
+def test_make_windows_property(total, n, seq_len, horizon):
+    """Either a DataError/ConfigError, or exactly the starts the split rule
+    picks, one by one, with every window and target read from the series
+    at its start."""
+    values = np.arange(total * n, dtype=float).reshape(total, n)
+    ds = make_dataset(values)
+    try:
+        train, test = data.make_windows(ds, seq_len, horizon)
+    except ConfigError:
+        assert seq_len < 1 or horizon < 1
+        return
+    except DataError:
+        assert total < seq_len + horizon + 1
+        return
+    assert seq_len >= 1 and horizon >= 1
+    s = ds.split_index
+    every = range(total - seq_len - horizon + 1)
+    expected = ([t for t in every if t + seq_len + horizon < s],
+                [t for t in every if t + seq_len >= s])
+    for ws, starts in zip((train, test), expected):
+        assert ws.inputs.shape == (len(starts), seq_len, n)
+        assert ws.targets.shape == (len(starts), n, horizon)
+        assert [int(v) // n for v in ws.inputs[:, 0, 0]] == starts
+        for i, t in enumerate(starts):
+            assert np.array_equal(ws.inputs[i], values[t:t + seq_len])
+            assert np.array_equal(
+                ws.targets[i], values[t + seq_len:t + seq_len + horizon].T)
 
 
 def _norm_ds(seed=3, shape=(40, 4)):

@@ -67,6 +67,18 @@ def test_rejects_negative_entry():
         build_propagation([[0, -1], [-1, 0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [build_propagation, road_network])
+def test_rejects_non_finite_entry(build, bad):
+    adj = np.zeros((3, 3))
+    adj[1, 2] = adj[2, 1] = bad
+    with pytest.raises(InvalidGraph, match=r"non-finite entry at \(1, 2\)"):
+        build(adj)
+    adj[0, 0] = bad
+    with pytest.raises(InvalidGraph, match=r"non-finite entry at \(0, 0\)"):
+        build(adj)
+
+
 def test_rejects_asymmetry():
     with pytest.raises(InvalidGraph):
         build_propagation([[0, 1], [0, 0]])

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
@@ -490,3 +492,67 @@ def test_checkpoint_header_not_an_object(tmp_path):
     _write_with_header(path, lambda h: [h])
     with pytest.raises(CheckpointError, match="not a JSON object"):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_size_too_large(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _write_with_header(path, _set("hidden", 10 ** 12))
+    with pytest.raises(CheckpointError, match="hidden=1000000000000"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_parameter(tmp_path, bad):
+    path = tmp_path / "model.ckpt"
+    model = SequenceModel("gru", 2, 2, 2, 1)
+    save_checkpoint(model, path)
+    # the last 8 bytes are proj_b, the last parameter
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+    with pytest.raises(CheckpointError, match="non-finite value in proj_b"):
+        load_checkpoint(path)
+
+
+def _fuzz_base(tmp_path):
+    prop = build_propagation([[0, 1], [1, 0]])
+    model = SequenceModel("tgcn", 2, 2, 2, 1, propagation=prop)
+    model.init_parameters(3)
+    path = tmp_path / "base.ckpt"
+    save_checkpoint(model, path)
+    return path.read_bytes(), prop
+
+
+def _loads_finite_or_refuses(path, raw, prop):
+    path.write_bytes(raw)
+    try:
+        model = load_checkpoint(path, propagation=prop)
+    except CheckpointError:
+        return
+    for p in model.parameters().values():
+        assert np.all(np.isfinite(p.data))
+
+
+def test_checkpoint_every_truncation_and_bit_flip(tmp_path):
+    raw, prop = _fuzz_base(tmp_path)
+    path = tmp_path / "fuzz.ckpt"
+    for cut in range(len(raw)):
+        _loads_finite_or_refuses(path, raw[:cut], prop)
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        _loads_finite_or_refuses(path, bytes(flipped), prop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_edit_property(tmp_path_factory, data):
+    """Any truncation, run of bit flips or overwrite of a small seeded
+    checkpoint loads a model with finite parameters or is refused with a
+    CheckpointError."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    raw, prop = _fuzz_base(tmp_path)
+    edited = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(0, len(edited) - 1))
+        edited[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(edited)))
+    _loads_finite_or_refuses(tmp_path / "fuzz.ckpt", bytes(edited[:cut]), prop)
