@@ -239,24 +239,23 @@ def matmul(a, b):
     return Tensor._make(a.data @ b.data, (a, b), bwd)
 
 
-def graph_propagate(prop, x, batch=1):
-    """Apply a fixed n-by-n propagation matrix to each n-row block of x.
+def graph_propagate(prop, x):
+    """Apply a fixed n-by-n propagation matrix to a node-major stack x.
 
-    x is a vertically stacked batch of shape (batch*n, d); the propagation
-    matrix itself is a constant and receives no gradient.
+    x has n·B rows, rows i·B … i·B+B−1 belonging to node i, so x viewed as
+    (n, B·d) is one feature matrix and the propagation is one matrix
+    product. The propagation matrix is a constant and receives no gradient.
     """
     prop = np.asarray(prop, dtype=np.float64)
     n = prop.shape[0]
     x = _lift(x)
-    if x.data.ndim != 2 or x.shape[0] != batch * n:
-        raise ShapeError(
-            f"graph_propagate: x has shape {x.shape}, expected ({batch * n}, d)")
-    d = x.shape[1]
-    out = (prop @ x.data.reshape(batch, n, d)).reshape(batch * n, d)
+    if x.data.ndim != 2 or x.shape[0] % n:
+        raise ShapeError(f"graph_propagate: x has shape {x.shape}, expected "
+                         f"a multiple of {n} rows")
+    out = (prop @ x.data.reshape(n, -1)).reshape(x.shape)
 
     def bwd(g, x=x, prop=prop):
-        x._accumulate((prop.T @ g.reshape(batch, n, d)).reshape(batch * n, d),
-                      fresh=True)
+        x._accumulate((prop.T @ g.reshape(n, -1)).reshape(x.shape), fresh=True)
 
     return Tensor._make(out, (x,), bwd)
 

@@ -193,27 +193,25 @@ def _load_model(args, network):
 def cmd_eval(args, parser):
     network, dataset, _, test_ws, perturbation = _prepare(args, parser)
     model = _load_model(args, network)
-    report = training.evaluate(model, test_ws, dataset)
+    report, preds = training.evaluate_predictions(model, test_ws, dataset)
     write_metrics_json(args.metrics_out, report, args, perturbation)
     if args.predictions_out:
-        _write_predictions(args.predictions_out, model, test_ws, dataset)
+        _write_predictions(args.predictions_out, preds)
     return 0
 
 
 def cmd_predict(args, parser):
     network, dataset, _, test_ws, _ = _prepare(args, parser)
     model = _load_model(args, network)
-    _write_predictions(args.predictions_out, model, test_ws, dataset)
+    _, preds = training.evaluate_predictions(model, test_ws, dataset)
+    _write_predictions(args.predictions_out, preds)
     return 0
 
 
-def _write_predictions(path, model, test_ws, dataset):
+def _write_predictions(path, preds):
     """One row per test window; columns are node-major, horizon-minor,
     denormalized speed values."""
-    preds = training.predict_windows(model, test_ws.inputs)
-    preds = data.denormalize(dataset, preds)
-    flat = preds.reshape(preds.shape[0], -1)
-    np.savetxt(path, flat, delimiter=",", fmt="%.10g")
+    np.savetxt(path, preds.reshape(len(preds), -1), delimiter=",", fmt="%.10g")
 
 
 def cmd_perturb(args, parser):

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -154,31 +155,28 @@ def make_windows(dataset, seq_len, horizon):
     earlier, and a test window if t+seq_len >= s, so its targets start at
     or after s. The windows in between are in neither set: those whose
     targets straddle s, and the one whose targets end at s-1.
+
+    Both sets are read-only views of the series, made C-ordered first if
+    need be, so a reduction over a window (the historical average) sums in
+    the same order whatever the layout of the values.
     """
     if seq_len < 1 or horizon < 1:
         raise ConfigError(f"seq_len and horizon must be >= 1, got {seq_len} "
                           f"and {horizon}")
-    values = dataset.values
+    values = np.ascontiguousarray(dataset.values)
     total = values.shape[0]
     if total < seq_len + horizon + 1:
         raise DataError(
             f"series of length {total} too short for seq_len={seq_len}, "
             f"horizon={horizon}")
-    s, n = dataset.split_index, dataset.n_nodes
-
-    def gather(starts):
-        # one fancy index per array builds it C-ordered in its final shape:
-        # no transposed temporary, and a reduction over a window (the
-        # historical average) sums in the same order whatever the layout
-        # of values
-        starts = starts[:, None]
-        steps = starts + seq_len + np.arange(horizon)
-        return WindowSet(values[starts + np.arange(seq_len)],
-                         values[steps[:, None], np.arange(n)[:, None]])
-
-    return (gather(np.arange(s - seq_len - horizon)),
-            gather(np.arange(max(0, s - seq_len),
-                             total - seq_len - horizon + 1)))
+    # window t is inputs[t] = values[t:t+seq_len] and targets[t], whose
+    # [i, k] is values[t+seq_len+k, i]
+    targets = sliding_window_view(values[seq_len:], horizon, axis=0)
+    inputs = sliding_window_view(values, seq_len, axis=0).transpose(0, 2, 1)
+    n_train = max(0, dataset.split_index - seq_len - horizon)
+    first_test = max(0, dataset.split_index - seq_len)
+    return (WindowSet(inputs[:n_train], targets[:n_train]),
+            WindowSet(inputs[first_test:len(targets)], targets[first_test:]))
 
 
 def rescaled_noise_matrix(shape, dist, param, seed):

@@ -2,9 +2,11 @@
 sequence unrolling with a linear output head, and the historical-average
 baseline. All learnable state lives in autodiff Tensors.
 
-Batches of windows are vertically stacked: a batch of B windows over n nodes
-is processed as (B*n)-row matrices, with the propagation matrix applied per
-n-row block.
+A batch of B windows over n nodes is stacked node-major: every layer works
+on (n*B)-row matrices whose rows i*B ... i*B+B-1 belong to node i. Viewed as
+(n, B*d), such a matrix is one feature matrix, so a graph propagation is one
+matrix product and no layer needs to know B; `predict` maps the rows back to
+(B, n, horizon).
 """
 
 from __future__ import annotations
@@ -47,15 +49,14 @@ class GcnEncoder:
         self.w1 = _param(gc_hidden, out_dim)
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
-    def forward(self, x, batch=1):
-        h = ad.relu(ad.graph_propagate(self.propagation, x, batch) @ self.w0)
-        return ad.graph_propagate(self.propagation, h, batch) @ self.w1
+    def forward(self, x):
+        h = ad.relu(ad.graph_propagate(self.propagation, x) @ self.w0)
+        return ad.graph_propagate(self.propagation, h) @ self.w1
 
     def encode(self, windows):
         """GCN baseline: each node's seq_len past values are its features."""
-        batch, seq_len, n = windows.shape
-        feats = Tensor(windows.transpose(0, 2, 1).reshape(batch * n, seq_len))
-        return self.forward(feats, batch)
+        return self.forward(Tensor(
+            windows.transpose(2, 0, 1).reshape(-1, windows.shape[1])))
 
 
 class TgcnCell:
@@ -77,21 +78,19 @@ class TgcnCell:
         vars(self).update(gates)
         self.params = {**input_params, **gates}
 
-    def input_transform(self, x_t, batch):
-        return self.gcn.forward(x_t, batch)
+    def input_transform(self, x_t):
+        return self.gcn.forward(x_t)
 
-    def step(self, x_t, h_prev, batch=1):
-        g = self.input_transform(x_t, batch)
+    def step(self, x_t, h_prev):
+        g = self.input_transform(x_t)
         return ad.gru_step(g, h_prev, self.w_u, self.w_r, self.w_c,
                            self.b_u, self.b_r, self.b_c)
 
     def encode(self, windows):
         """Unroll over the window from a zero state; the last hidden state."""
-        batch, seq_len, n = windows.shape
-        h = Tensor(np.zeros((batch * n, self.hidden)))
-        for t in range(seq_len):
-            x_t = Tensor(windows[:, t, :].reshape(batch * n, 1))
-            h = self.step(x_t, h, batch)
+        h = Tensor(np.zeros((windows[:, 0].size, self.hidden)))
+        for x_t in windows.transpose(1, 2, 0):  # (n, B) per timestep
+            h = self.step(Tensor(x_t.reshape(-1, 1)), h)
         return h
 
 
@@ -103,7 +102,7 @@ class GruCell(TgcnCell):
         self.w_in = _param(1, hidden)
         self._init_gates({"w_in": self.w_in}, hidden)
 
-    def input_transform(self, x_t, batch):
+    def input_transform(self, x_t):
         return x_t @ self.w_in
 
 
@@ -187,7 +186,8 @@ class SequenceModel:
     # -- forward -----------------------------------------------------------
 
     def forward(self, windows):
-        """windows: array (batch, seq_len, n_nodes) -> Tensor (batch*n, horizon)."""
+        """windows: array (B, seq_len, n_nodes) -> Tensor (n*B, horizon),
+        node-major rows."""
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim == 2:
             windows = windows[None]
@@ -198,21 +198,19 @@ class SequenceModel:
         if n != self.n_nodes:
             raise ShapeError(
                 f"window has {n} nodes, model expects {self.n_nodes}")
-        if self.encoder is None:
-            return Tensor(np.concatenate(
-                [ha_predict(w, self.horizon) for w in windows], axis=0))
+        if self.encoder is None:  # the batch as one (seq_len, n*B) window
+            return Tensor(ha_predict(
+                windows.transpose(1, 2, 0).reshape(seq_len, -1), self.horizon))
         return self.encoder.encode(windows) @ self.proj_w + self.proj_b
 
     def predict(self, windows):
         """Inference without graph recording; returns (batch, n, horizon)."""
         windows = np.asarray(windows, dtype=np.float64)
-        single = windows.ndim == 2
-        if single:
-            windows = windows[None]
         with ad.no_grad():
             out = self.forward(windows).data
-        out = out.reshape(windows.shape[0], self.n_nodes, self.horizon)
-        return out[0] if single else out
+        # node-major rows back to (B, n, horizon)
+        out = out.reshape(self.n_nodes, -1, self.horizon).transpose(1, 0, 2)
+        return out[0] if windows.ndim == 2 else out
 
 
 def ha_predict(window, horizon):

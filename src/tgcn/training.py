@@ -118,10 +118,15 @@ def predict_windows(model, inputs):
 
 def evaluate(model, window_set, dataset):
     """Metrics on denormalized predictions over a whole window set."""
-    preds = predict_windows(model, window_set.inputs)
+    return evaluate_predictions(model, window_set, dataset)[0]
+
+
+def evaluate_predictions(model, window_set, dataset):
+    """`evaluate`'s metrics and the denormalized (count, n, horizon)
+    predictions they score, from one pass over the windows."""
+    pred = denormalize(dataset, predict_windows(model, window_set.inputs))
     truth = denormalize(dataset, window_set.targets)
-    pred = denormalize(dataset, preds)
-    return compute_metrics(truth, pred)
+    return compute_metrics(truth, pred), pred
 
 
 @dataclass
@@ -169,7 +174,9 @@ def train(model, train_windows, test_windows, dataset, config):
         for start in range(0, n_windows, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch_in = train_windows.inputs[idx]
-            batch_tg = train_windows.targets[idx].reshape(-1, model.horizon)
+            # node-major, like the rows of the forward pass
+            batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
+            batch_tg = batch_tg.reshape(-1, model.horizon)
             opt.zero_grad()
             pred = model.forward(batch_in)
             batch_loss = loss(pred, batch_tg, weights, config.weight_decay)

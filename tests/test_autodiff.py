@@ -170,19 +170,20 @@ def test_gradcheck_matmul_chain():
 def test_graph_propagate_blocks():
     prop = np.array([[0.5, 0.5], [0.5, 0.5]])
     x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    out = ad.graph_propagate(prop, x, batch=2)
-    # each 2-row block is averaged independently
-    expect = np.array([[1, 2], [1, 2], [5, 6], [5, 6]], dtype=float)
+    out = ad.graph_propagate(prop, x)
+    # node-major: rows 0-1 are node 0 and rows 2-3 node 1 of two windows;
+    # each window (rows b and 2+b) is averaged independently
+    expect = np.array([[2, 3], [4, 5], [2, 3], [4, 5]], dtype=float)
     assert np.allclose(out.data, expect)
     report = gradcheck(
         lambda xs: ad.tensor_sum(ad.square(
-            ad.graph_propagate(prop, xs[0], batch=2))), [x], tol=1e-6)
+            ad.graph_propagate(prop, xs[0]))), [x], tol=1e-6)
     assert report.passed
 
 
 def test_graph_propagate_shape_error():
     with pytest.raises(ShapeError):
-        ad.graph_propagate(np.eye(3), Tensor(np.zeros((4, 1))), batch=1)
+        ad.graph_propagate(np.eye(3), Tensor(np.zeros((4, 1))))
 
 
 def test_no_grad_is_per_thread():

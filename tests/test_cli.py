@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_csv
-from tgcn import cli
+from tgcn import cli, training
 
 FAST = ["--hidden", "4", "--seq-len", "4", "--epochs", "3", "--batch", "32",
         "--eval-every", "1", "--seed", "7"]
@@ -122,6 +122,34 @@ def test_eval_reproduces_training_metrics(tmp_path, ring_files):
     a, b = read_json(m_train), read_json(m_eval)
     for key in ("rmse", "mae", "accuracy", "r2", "var", "n_points"):
         assert a[key] == b[key]
+
+
+def test_eval_scores_and_writes_one_forward_pass(tmp_path, ring_files,
+                                                 monkeypatch):
+    adj, feat = ring_files
+    ckpt = tmp_path / "model.ckpt"
+    metrics, preds = tmp_path / "m.json", tmp_path / "p.csv"
+    run(["train", "--adj", adj, "--features", feat, "--model", "tgcn", *FAST,
+         "--out", str(ckpt)])
+    calls = []
+    predict_windows = training.predict_windows
+
+    def counted(model, inputs):
+        calls.append(len(inputs))
+        return predict_windows(model, inputs)
+
+    monkeypatch.setattr(training, "predict_windows", counted)
+    rc = run(["eval", "--adj", adj, "--features", feat, "--model", "tgcn",
+              "--seq-len", "4", "--checkpoint", str(ckpt),
+              "--metrics-out", str(metrics), "--predictions-out", str(preds)])
+    assert rc == 0
+    assert len(calls) == 1
+    # the written rows are the ones scored
+    table = np.loadtxt(preds, delimiter=",")
+    assert table.shape == (calls[0], 10)
+    truth = np.loadtxt(feat, delimiter=",")[-calls[0]:]
+    rmse = np.sqrt(np.mean((table - truth) ** 2))
+    assert rmse == pytest.approx(read_json(metrics)["rmse"], rel=1e-8)
 
 
 def test_eval_horizon_mismatch_fails(tmp_path, ring_files):

@@ -209,6 +209,30 @@ def test_make_windows_property(total, n, seq_len, horizon):
                 ws.targets[i], values[t + seq_len:t + seq_len + horizon].T)
 
 
+def _root(array):
+    """The array that owns the memory behind a chain of views."""
+    while getattr(array, "base", None) is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_make_windows_read_only_views_of_one_series(order):
+    values = np.asarray(np.arange(60.0).reshape(20, 3), order=order)
+    sets = data.make_windows(make_dataset(values), seq_len=4, horizon=2)
+    arrays = [a for ws in sets for a in (ws.inputs, ws.targets)]
+    series = _root(arrays[0])
+    assert all(_root(a) is series for a in arrays)
+    assert all(np.shares_memory(a, series) for a in arrays)
+    # a C-ordered series is windowed in place, an F-ordered one copied once
+    assert (series is _root(values)) == (order == "C")
+    assert np.array_equal(np.asarray(series).reshape(20, 3), values)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def _norm_ds(seed=3, shape=(40, 4)):
     rng = np.random.default_rng(seed)
     return data.normalize(make_dataset(rng.uniform(1, 9, size=shape)))

@@ -169,7 +169,7 @@ def test_gate_ranges():
     _randomize(cell, rng)
     # float64 sigmoid saturates to exactly 1.0 around z ~ 37, so probe the
     # open-interval property at moderate preactivations
-    g = cell.input_transform(Tensor(rng.standard_normal((5, 1))), 1)
+    g = cell.input_transform(Tensor(rng.standard_normal((5, 1))))
     h = Tensor(rng.standard_normal((5, 4)))
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ cell.w_u + cell.b_u).data
@@ -254,6 +254,48 @@ def test_unrolled_gradcheck():
     def f(_):
         pred = model.forward(window)
         return ad.tensor_mean(ad.square(pred - Tensor(target)))
+
+    report = gradcheck(f, params, tol=1e-4)
+    assert report.passed, report.per_input
+
+
+def _batch_model(kind, n=4, seq_len=5, horizon=2):
+    rng = np.random.default_rng(27)
+    path = np.eye(n, k=1)
+    prop = build_propagation(path + path.T)
+    model = SequenceModel(kind, n, 3, seq_len, horizon, propagation=prop)
+    for p in model.parameters().values():
+        p.data[:] = rng.standard_normal(p.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru", "ha"])
+def test_batch_predict_equals_stacked_single_windows(kind):
+    # a batch is stacked node-major inside the model; predict must undo
+    # that, so no window sees another window's rows
+    model = _batch_model(kind)
+    windows = np.random.default_rng(28).random((3, 5, 4))
+    got = model.predict(windows)
+    want = np.stack([model.predict(w) for w in windows])
+    # windows and nodes must differ, or a mixed-up layout would not show
+    assert np.all(np.ptp(want, axis=0) > 1e-3)
+    assert np.all(np.ptp(want, axis=1) > 1e-3)
+    assert got.shape == (3, 4, 2)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gcn"])
+def test_batch_gradcheck(kind):
+    # MSE over a 3-window batch, targets aligned with the node-major rows
+    rng = np.random.default_rng(29)
+    model = _batch_model(kind, n=3, seq_len=4, horizon=2)
+    windows = rng.random((3, 4, 3))
+    targets = rng.random((3, 3, 2))  # (B, n, horizon)
+    truth = Tensor(targets.transpose(1, 0, 2).reshape(-1, 2))
+    params = list(model.parameters().values())
+
+    def f(_):
+        return ad.tensor_mean(ad.square(model.forward(windows) - truth))
 
     report = gradcheck(f, params, tol=1e-4)
     assert report.passed, report.per_input

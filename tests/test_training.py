@@ -135,6 +135,21 @@ def test_train_lr_zero_is_noop():
         assert np.array_equal(p.data, before[k])
 
 
+@pytest.mark.parametrize("kind", ["tgcn", "gcn"])
+def test_train_loss_matches_batch_predictions(kind):
+    # one batch, no update: the reported loss is the MSE of predict's
+    # (B, n, horizon) output against the targets, so the forward rows and
+    # the targets must be stacked in the same order
+    prop, ds, train_ws, test_ws = ring_setup(horizon=2)
+    model = SequenceModel(kind, 10, 4, 4, 2, propagation=prop)
+    model.init_parameters(0)
+    config = TrainConfig(lr=0.0, batch_size=len(train_ws), epochs=1,
+                         weight_decay=0.0, seed=0, eval_every=1)
+    result = train(model, train_ws, test_ws, ds, config)
+    want = np.mean((model.predict(train_ws.inputs) - train_ws.targets) ** 2)
+    assert abs(result.history[0]["train_loss"] - want) < 1e-12
+
+
 def test_train_loss_decreases_on_learnable_data():
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 8, 4, 1, propagation=prop)
