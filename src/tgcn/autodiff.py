@@ -313,107 +313,137 @@ def concat_cols(a, b):
     return Tensor._make(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
-def gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
-    """One gated recurrent update as a single tape node.
+def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
+    """A window of gated recurrent updates as a single tape node.
 
-    g is the (m, p) input transform and h the (m, k) previous state; each
-    weight is (p + k, k) and each bias (1, k). With σ the logistic function:
+    The input at step t has rank r: it is feats[t]·lift, with feats a
+    constant (L, m, r) array and lift an (r, p) Tensor. h0 is the (m, k)
+    initial state, each weight (p + k, k) and each bias (1, k). A weight's
+    first p rows W_g act on the input and its last k rows W_h on the state.
+    The lift folds into V = lift·W_g once per call, and a constant column
+    of ones carries the biases, so with σ the logistic function step t is
+    two GEMMs:
 
-        u, r = σ([g|h]·[w_u|w_r] + [b_u|b_r])   (one GEMM for both gates)
-        c    = tanh([g|r∘h]·w_c + b_c)
-        h'   = c + u∘(h − c)                     (= u∘h + (1 − u)∘c)
+        u, r = σ([feats_t | 1 | h]·[V_u V_r; b_u b_r; W_u,h W_r,h])
+        c    = tanh([feats_t | 1 | r∘h]·[V_c; b_c; W_c,h])
+        h   <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
-    [g|r∘h] overwrites [g|h] in place. When recording, the backward keeps
-    [u|r], [g|r∘h] and c, and recomputes h − c and the gate derivatives.
-    When nothing records, nothing is kept, and h' is formed in c's buffer
-    with r's half of [u|r] as scratch.
+    and the result is h after step L. When recording, [feats_t | 1 | h_{t−1}],
+    [u|r] and c of every step are kept in three (L, m, ·) blocks allocated
+    once, and the backward replays the steps in reverse. Its GEMMs with the
+    same left operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations'
+    gradients dz_t, the bias gradients and the state rows' gradients at
+    once; lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV. When nothing
+    records, nothing is kept: every step reuses one [feats_t | 1 | h]
+    buffer, [u|r], c and the state.
     """
-    g, h, w_u, w_r, w_c, b_u, b_r, b_c = map(
-        _lift, (g, h, w_u, w_r, w_c, b_u, b_r, b_c))
+    lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
+        _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
+    feats = np.asarray(feats, dtype=np.float64)
     weights, biases = (w_u, w_r, w_c), (b_u, b_r, b_c)
-    m, p = g.shape if g.data.ndim == 2 else (-1, -1)
-    k = h.shape[1] if h.data.ndim == 2 else -1
-    if (p < 0 or k < 0 or h.shape[0] != m
+    n_steps, m, r = feats.shape if feats.ndim == 3 else (0, -1, -1)
+    p = lift.shape[1] if lift.data.ndim == 2 else -1
+    k = h0.shape[1] if h0.data.ndim == 2 else -1
+    if (n_steps < 1 or p < 0 or k < 0 or lift.shape[0] != r
+            or h0.shape[0] != m
             or any(w.shape != (p + k, k) for w in weights)
             or any(b.shape != (1, k) for b in biases)):
         raise ShapeError(
-            f"gru_step: incompatible shapes g {g.shape}, h {h.shape}, "
+            f"gru_unroll: incompatible shapes feats {feats.shape}, "
+            f"lift {lift.shape}, h0 {h0.shape}, "
             f"weights {[w.shape for w in weights]}, "
             f"biases {[b.shape for b in biases]}")
-    record = _recording((g, h) + weights + biases)
-    gc = np.empty((m, p + k))
-    gc[:, :p] = g.data
-    gc[:, p:] = h.data
-    w_ur = np.concatenate([w_u.data, w_r.data], axis=1)
-    ur = gc @ w_ur
-    ur += np.concatenate([b_u.data, b_r.data], axis=1)
-    _sigmoid_values(ur, out=ur)
-    u, r = ur[:, :k], ur[:, k:]
-    gc[:, p:] *= r
-    c = gc @ w_c.data
-    c += b_c.data
-    np.tanh(c, out=c)
+    record = _recording((lift, h0) + weights + biases)
+    q = r + 1  # the columns before the state: feats_t and the ones
+    wg_ur = np.concatenate([w_u.data[:p], w_r.data[:p]], axis=1)
+    w_ur = np.concatenate([  # (q + k, 2k)
+        lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
+        np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
+    w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
+    kept = n_steps if record else 1
+    xh = np.empty((kept, m, q + k))  # [feats_t | 1 | h_{t-1}]
+    xh[:, :, r] = 1.0
+    ur = np.empty((kept, m, 2 * k))
+    c = np.empty((kept, m, k))
+    out = np.empty((m, k))  # the state when nothing is kept
+    xrh = None  # [feats_t | 1 | r∘h]
     if record:
-        out = h.data - c
-        out *= u
-        out += c
+        xh[:, :, :r] = feats
+        xh[0, :, q:] = h0.data
+        xrh = np.empty((m, q + k))
+        xrh[:, r] = 1.0
     else:
-        np.subtract(h.data, c, out=r)
-        r *= u
-        c += r
-        out = c
+        out[...] = h0.data
+    for t in range(n_steps):
+        x, z, cand = (xh[t], ur[t], c[t]) if record else (xh[0], ur[0], c[0])
+        if not record:
+            x[:, :r] = feats[t]
+            x[:, q:] = out
+        np.matmul(x, w_ur, out=z)
+        _sigmoid_values(z, out=z)
+        u, rg = z[:, :k], z[:, k:]
+        xr = xrh if record else x  # unkept: r∘h overwrites h in place
+        xr[:, :r] = feats[t]
+        np.multiply(rg, x[:, q:], out=xr[:, q:])
+        np.matmul(xr, w_xc, out=cand)
+        np.tanh(cand, out=cand)
+        h = x[:, q:] if record else out
+        dest = xh[t + 1, :, q:] if record and t + 1 < n_steps else out
+        np.subtract(h, cand, out=dest)
+        dest *= u
+        dest += cand
 
     def bwd(grad):
-        hd = h.data
-        gu = grad * u
-        # the candidate's pre-activation: grad∘(1 − u)∘(1 − c²)
-        dc = grad - gu
-        scratch = c * c
-        np.subtract(1.0, scratch, out=scratch)
-        dc *= scratch
-        dgc = dc @ w_c.data.T  # [dg | d(r∘h)]
-        drh = dgc[:, p:]
-        # the update and reset pre-activations side by side, through
-        # σ' = σ(1 − σ)
-        dz = np.empty((m, 2 * k))
-        np.subtract(hd, c, out=dz[:, :k])
-        dz[:, :k] *= grad
-        np.multiply(drh, hd, out=dz[:, k:])
-        dsig = 1.0 - ur
-        dsig *= ur
-        dz *= dsig
-        del dsig
-        if w_c.requires_grad:
-            w_c._accumulate(gc.T @ dc, fresh=True)
-        if b_c.requires_grad:
-            b_c._accumulate(dc.sum(axis=0, keepdims=True), fresh=True)
-        if w_u.requires_grad or w_r.requires_grad:
-            # [g|h]ᵀ·dz without rebuilding [g|h]
-            dw = np.empty((p + k, 2 * k))
-            np.matmul(g.data.T, dz, out=dw[:p])
-            np.matmul(hd.T, dz, out=dw[p:])
-            if w_u.requires_grad:
-                w_u._accumulate(dw[:, :k])
-            if w_r.requires_grad:
-                w_r._accumulate(dw[:, k:])
-        if b_u.requires_grad or b_r.requires_grad:
-            db = dz.sum(axis=0, keepdims=True)
-            if b_u.requires_grad:
-                b_u._accumulate(db[:, :k])
-            if b_r.requires_grad:
-                b_r._accumulate(db[:, k:])
-        if g.requires_grad:
-            dg = dz @ w_ur[:p].T
-            dg += dgc[:, :p]
-            g._accumulate(dg, fresh=True)
-        if h.requires_grad:
-            dh = dz @ w_ur[p:].T
-            dh += gu
-            np.multiply(drh, r, out=scratch)
-            dh += scratch
-            h._accumulate(dh, fresh=True)
+        # one set of buffers for the whole replay
+        dh = np.array(grad, dtype=np.float64)
+        gu, dc, drh = (np.empty((m, k)) for _ in range(3))
+        dz, dsig = np.empty((m, 2 * k)), np.empty((m, 2 * k))
+        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over
+        # the steps: dV, then the bias gradients, then the state rows'
+        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
+        for t in reversed(range(n_steps)):
+            x, z, cand = xh[t], ur[t], c[t]
+            h, u, rg = x[:, q:], z[:, :k], z[:, k:]
+            np.multiply(dh, u, out=gu)
+            # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
+            np.subtract(dh, gu, out=dc)
+            np.multiply(cand, cand, out=drh)
+            np.subtract(1.0, drh, out=drh)
+            dc *= drh
+            np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
+            # the update and reset pre-activations side by side, through
+            # σ' = σ(1 − σ)
+            np.subtract(h, cand, out=dz[:, :k])
+            dz[:, :k] *= dh
+            np.multiply(drh, h, out=dz[:, k:])
+            np.subtract(1.0, z, out=dsig)
+            dsig *= z
+            dz *= dsig
+            g_ur += x.T @ dz
+            xrh[:, :r] = x[:, :r]
+            np.multiply(rg, h, out=xrh[:, q:])
+            g_c += xrh.T @ dc
+            if t or h0.requires_grad:
+                np.matmul(dz, w_ur[q:].T, out=dh)
+                dh += gu
+                np.multiply(drh, rg, out=gu)
+                dh += gu
+        dv_ur, dv_c = g_ur[:r], g_c[:r]
+        if lift.requires_grad:
+            dlift = dv_ur @ wg_ur.T
+            dlift += dv_c @ w_c.data[:p].T
+            lift._accumulate(dlift, fresh=True)
+        dw_ur = np.concatenate([lift.data.T @ dv_ur, g_ur[q:]])
+        dw_c = np.concatenate([lift.data.T @ dv_c, g_c[q:]])
+        for param, g in ((w_u, dw_ur[:, :k]), (w_r, dw_ur[:, k:]),
+                         (w_c, dw_c), (b_u, g_ur[r:q, :k]),
+                         (b_r, g_ur[r:q, k:]), (b_c, g_c[r:q])):
+            if param.requires_grad:
+                param._accumulate(g)
+        if h0.requires_grad:
+            h0._accumulate(dh, fresh=True)
 
-    return Tensor._make(out, (g, h) + weights + biases, bwd)
+    return Tensor._make(out, (lift, h0) + weights + biases, bwd)
 
 
 def tensor_sum(x):

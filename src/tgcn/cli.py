@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff, data, graph, models, training
-from .errors import CheckpointError, ConfigError, TgcnError
+from .errors import CheckpointError, ConfigError, DataError, TgcnError
 
 GAUSSIAN_SWEEP = (0.2, 0.4, 0.8, 1.0, 2.0)
 POISSON_SWEEP = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -118,6 +118,12 @@ def _prepare(args, parser):
                         "seed": args.seed}
     train_ws, test_ws = data.make_windows(dataset, args.seq_len,
                                           args.horizon_steps)
+    if len(test_ws) == 0:  # every command scores or writes the test windows
+        total, split = dataset.values.shape[0], dataset.split_index
+        raise DataError(
+            f"no test windows: a series of length {total} split at index "
+            f"{split} leaves {total - split} steps after the split, fewer "
+            f"than horizon={args.horizon_steps} (seq_len={args.seq_len})")
     return network, dataset, train_ws, test_ws, perturbation
 
 

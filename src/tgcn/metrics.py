@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ def compute_metrics(truth, pred):
     if truth.shape != pred.shape:
         raise ShapeError(
             f"truth shape {truth.shape} != pred shape {pred.shape}")
+    if truth.size == 0:
+        raise DataError("no points to score: the window set is empty")
     t = truth.ravel()
     p = pred.ravel()
     resid = t - p

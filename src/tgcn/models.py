@@ -7,6 +7,15 @@ on (n*B)-row matrices whose rows i*B ... i*B+B-1 belong to node i. Viewed as
 (n, B*d), such a matrix is one feature matrix, so a graph propagation is one
 matrix product and no layer needs to know B; `predict` maps the rows back to
 (B, n, horizon).
+
+The recurrent cells' input has rank r in the hidden dimension. A cell gives
+`autodiff.gru_unroll` constant per-row features (L, m, r) for the whole
+window and a learned (r, hidden) lift, and the unroll runs every timestep
+as one tape node. For T-GCN this needs the graph convolution to see only
+x_t, one value per node (a convolution of [x_t | h] would not reduce):
+then relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t,
+so the convolution is the features [P·relu(y) | P·relu(−y)] times the lift
+relu([w0; −w0])·w1, and r = 2. For the GRU baseline x_t·w_in has r = 1.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ CHECKPOINT_MAGIC = b"TGCN"
 CHECKPOINT_VERSION = 1
 
 GATE_PARAMS = ("w_u", "w_r", "w_c", "b_u", "b_r", "b_c")
+SIGNS = np.array([[1.0], [-1.0]])  # S in the T-GCN lift relu(S·w0)·w1
 
 
 def _param(rows, cols):
@@ -64,7 +74,9 @@ class TgcnCell:
 
     `params` holds the input transform's weights, then the gate weights
     and biases (`GATE_PARAMS`, also attributes), under their checkpoint
-    names.
+    names. The input transform has rank r in the hidden dimension, so a
+    cell supplies it as constant per-row `features` (L, m, r) and a learned
+    `lift` (r, hidden), and `autodiff.gru_unroll` runs the gated updates.
     """
 
     def __init__(self, propagation, hidden):
@@ -78,20 +90,40 @@ class TgcnCell:
         vars(self).update(gates)
         self.params = {**input_params, **gates}
 
-    def input_transform(self, x_t):
-        return self.gcn.forward(x_t)
+    def features(self, x):
+        """(L, m) node-major inputs -> the (L, m, 2) features
+        [P·relu(y) | P·relu(−y)], y = P·x_t, of every timestep at once;
+        gcn.forward(x_t) equals features[t]·lift()."""
+        prop = self.gcn.propagation
+        n, steps = prop.shape[0], x.shape[0]
+        # (n, L·B): one column per timestep and window
+        y = ad.graph_propagate(prop, x.reshape(steps, n, -1).transpose(
+            1, 0, 2).reshape(n, -1)).data
+        z = np.empty(y.shape + (2,))
+        np.maximum(y, 0.0, out=z[..., 0])
+        np.maximum(-y, 0.0, out=z[..., 1])
+        f = ad.graph_propagate(prop, z.reshape(n, -1)).data
+        return f.reshape(n, steps, -1, 2).transpose(1, 0, 2, 3).reshape(
+            steps, -1, 2)
+
+    def lift(self):
+        """relu([w0; −w0])·w1, recorded so that w0 and w1 get gradients."""
+        return ad.relu(Tensor(SIGNS) @ self.gcn.w0) @ self.gcn.w1
+
+    def _unroll(self, x, h0):
+        return ad.gru_unroll(self.features(x), self.lift(), h0, self.w_u,
+                             self.w_r, self.w_c, self.b_u, self.b_r, self.b_c)
 
     def step(self, x_t, h_prev):
-        g = self.input_transform(x_t)
-        return ad.gru_step(g, h_prev, self.w_u, self.w_r, self.w_c,
-                           self.b_u, self.b_r, self.b_c)
+        """One update from the (m, 1) input x_t, a constant."""
+        return self._unroll(np.reshape(getattr(x_t, "data", x_t), (1, -1)),
+                            h_prev)
 
     def encode(self, windows):
         """Unroll over the window from a zero state; the last hidden state."""
-        h = Tensor(np.zeros((windows[:, 0].size, self.hidden)))
-        for x_t in windows.transpose(1, 2, 0):  # (n, B) per timestep
-            h = self.step(Tensor(x_t.reshape(-1, 1)), h)
-        return h
+        x = windows.transpose(1, 2, 0).reshape(windows.shape[1], -1)
+        # a zero-stride constant: the zero state takes no memory
+        return self._unroll(x, np.broadcast_to(0.0, (x.shape[1], self.hidden)))
 
 
 class GruCell(TgcnCell):
@@ -102,8 +134,11 @@ class GruCell(TgcnCell):
         self.w_in = _param(1, hidden)
         self._init_gates({"w_in": self.w_in}, hidden)
 
-    def input_transform(self, x_t):
-        return x_t @ self.w_in
+    def features(self, x):
+        return x[..., None]
+
+    def lift(self):
+        return self.w_in
 
 
 class ModelKind(NamedTuple):

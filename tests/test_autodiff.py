@@ -1,4 +1,6 @@
+import itertools
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,7 +214,8 @@ def test_no_grad_is_per_thread():
 # -- sigmoid ---------------------------------------------------------------
 
 def old_sigmoid(v):
-    """The three-exp formula sigmoid used before it shared gru_step's."""
+    """The three-exp formula sigmoid used before it shared the fused
+    gated step's."""
     return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                     np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
 
@@ -230,11 +233,12 @@ def test_sigmoid_matches_old_formula_without_overflow():
     assert np.max(np.abs(far - [[0.0, 0.0, 1.0, 1.0]])) <= 1e-15
 
 
-# -- fused gated step --------------------------------------------------------
+# -- fused gated recurrence ---------------------------------------------------
 
 def unfused_gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
     """The gated update composed from primitives, as the cell computed it
-    before gru_step existed: the reference for its forward and backward."""
+    before the fused kernel existed: the reference for gru_unroll's forward
+    and backward."""
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ w_u + b_u)
     r = ad.sigmoid(gh @ w_r + b_r)
@@ -242,26 +246,37 @@ def unfused_gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
     return u * h + (1.0 - u) * c
 
 
-def gru_inputs(rng, m, p, k, h_const=False):
-    """[g, h, w_u, w_r, w_c, b_u, b_r, b_c] as Tensors; with h_const, h is
-    the zero first-step state and needs no gradient."""
-    shapes = [(m, p), (m, k)] + [(p + k, k)] * 3 + [(1, k)] * 3
+def unfused_unroll(feats, lift, h0, *gates):
+    """unfused_gru_step composed over the window, the input of step t being
+    the rank-r product feats[t]·lift."""
+    h = h0
+    for f in feats:
+        h = unfused_gru_step(Tensor(f) @ lift, h, *gates)
+    return h
+
+
+def unroll_inputs(rng, n_steps, m, r, p, k, h_const=False):
+    """The constant (n_steps, m, r) feats, then [lift, h0, w_u, w_r, w_c,
+    b_u, b_r, b_c] as Tensors; with h_const, h0 is the zero first state and
+    needs no gradient."""
+    feats = rng.standard_normal((n_steps, m, r))
+    shapes = [(r, p), (m, k)] + [(p + k, k)] * 3 + [(1, k)] * 3
     ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
     if h_const:
         ts[1] = Tensor(np.zeros((m, k)))
-    return ts
+    return feats, ts
 
 
 @pytest.mark.parametrize("h_const", [False, True])
 def test_gru_step_gradcheck(h_const):
     rng = np.random.default_rng(21)
-    xs = gru_inputs(rng, 4, 2, 3, h_const)
+    feats, xs = unroll_inputs(rng, 3, 4, 2, 2, 3, h_const)
     weight = Tensor(rng.standard_normal((4, 3)))
     inputs = [x for x in xs if x.requires_grad]
     assert len(inputs) == (7 if h_const else 8)
 
     def f(_):
-        return ad.tensor_sum(ad.gru_step(*xs) * weight)
+        return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
 
     report = gradcheck(f, inputs, tol=1e-7)
     assert report.passed, report.per_input
@@ -271,50 +286,72 @@ def test_gru_step_gradcheck(h_const):
     (1, 1, 1, False), (6, 3, 3, False), (5, 2, 4, False), (7, 4, 2, True),
     (12, 5, 5, True)])
 def test_gru_step_matches_unfused_composition(m, p, k, h_const):
-    rng = np.random.default_rng(m * 100 + p * 10 + k)
-    xs = gru_inputs(rng, m, p, k, h_const)
-    weight = Tensor(rng.standard_normal((m, k)))
-    outs, grads = [], []
-    for step in (ad.gru_step, unfused_gru_step):
-        for x in xs:
-            x.zero_grad()
-        out = step(*xs)
-        ad.tensor_sum(out * weight).backward()
-        outs.append(out.data)
-        grads.append([x.grad for x in xs])
-    assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
-    for x, fused, unfused in zip(xs, *grads):
-        if not x.requires_grad:
-            assert fused is None
-            continue
-        assert np.max(np.abs(fused - unfused)) <= 1e-12
+    for n_steps, r in itertools.product((1, 3), (1, 2)):
+        rng = np.random.default_rng(m * 100 + p * 10 + k + 7 * n_steps + r)
+        feats, xs = unroll_inputs(rng, n_steps, m, r, p, k, h_const)
+        weight = Tensor(rng.standard_normal((m, k)))
+        outs, grads = [], []
+        for unroll in (ad.gru_unroll, unfused_unroll):
+            for x in xs:
+                x.zero_grad()
+            out = unroll(feats, *xs)
+            ad.tensor_sum(out * weight).backward()
+            outs.append(out.data)
+            grads.append([x.grad for x in xs])
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
+        for x, fused, unfused in zip(xs, *grads):
+            if not x.requires_grad:
+                assert fused is None
+                continue
+            assert np.max(np.abs(fused - unfused)) <= 1e-12
 
 
 def test_gru_step_records_nothing_under_no_grad():
-    xs = gru_inputs(np.random.default_rng(22), 3, 2, 2)
-    with ad.no_grad():
-        out = ad.gru_step(*xs)
+    m, k = 300, 40
+    feats, xs = unroll_inputs(np.random.default_rng(22), 6, m, 2, 3, k)
+    want = unfused_unroll(feats, *xs).data
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            out = ad.gru_unroll(feats, *xs)
+        kept, _ = tracemalloc.get_traced_memory()
+        with ad.no_grad():
+            ad.gru_unroll(feats, *xs)
+        recorded = ad.gru_unroll(feats, *xs)
+        kept_recorded, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert out._backward is None and not out.requires_grad
     assert out._parents == ()
-    want = unfused_gru_step(*xs).data
     assert np.max(np.abs(out.data - want)) <= 1e-12
+    # nothing outlives the call but the (m, k) result, while a recording
+    # call keeps its (L, m, ·) blocks
+    assert kept <= out.data.nbytes + 4096
+    assert kept_recorded - kept >= 6 * m * 4 * k * 8
+    assert recorded._backward is not None
 
 
 def test_gru_step_leaves_its_inputs_unchanged():
-    xs = gru_inputs(np.random.default_rng(23), 4, 3, 3)
-    before = [x.data.copy() for x in xs]
-    out = ad.gru_step(*xs)
+    feats, xs = unroll_inputs(np.random.default_rng(23), 3, 4, 2, 3, 3)
+    before = [feats.copy()] + [x.data.copy() for x in xs]
+    out = ad.gru_unroll(feats, *xs)
     ad.tensor_sum(out).backward()
     with ad.no_grad():
-        ad.gru_step(*xs)
-    for x, b in zip(xs, before):
-        assert np.array_equal(x.data, b)
+        ad.gru_unroll(feats, *xs)
+    for x, b in zip([feats] + [x.data for x in xs], before):
+        assert np.array_equal(x, b)
 
 
 def test_gru_step_shape_error_names_shapes():
-    xs = gru_inputs(np.random.default_rng(24), 4, 2, 3)
-    xs[4] = Tensor(np.zeros((4, 3)))
-    with pytest.raises(ShapeError, match=r"gru_step.*\(4, 3\)"):
-        ad.gru_step(*xs)
-    with pytest.raises(ShapeError, match="gru_step"):
-        ad.gru_step(xs[0], Tensor(np.zeros((3, 3))), *xs[2:])
+    feats, xs = unroll_inputs(np.random.default_rng(24), 2, 4, 2, 2, 3)
+    bad_w = xs[:4] + [Tensor(np.zeros((4, 3)))] + xs[5:]
+    with pytest.raises(ShapeError, match=r"gru_unroll.*\(4, 3\)"):
+        ad.gru_unroll(feats, *bad_w)
+    with pytest.raises(ShapeError, match=r"gru_unroll.*h0 \(3, 3\)"):
+        ad.gru_unroll(feats, xs[0], Tensor(np.zeros((3, 3))), *xs[2:])
+    with pytest.raises(ShapeError, match=r"gru_unroll.*lift \(3, 2\)"):
+        ad.gru_unroll(feats, Tensor(np.zeros((3, 2))), *xs[1:])
+    with pytest.raises(ShapeError, match=r"gru_unroll: .*feats \(4, 2\)"):
+        ad.gru_unroll(feats[0], *xs)
+    with pytest.raises(ShapeError, match=r"gru_unroll: .*feats \(0, 4, 2\)"):
+        ad.gru_unroll(feats[:0], *xs)

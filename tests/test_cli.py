@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import write_csv
-from tgcn import cli, training
+from tgcn import cli, models, training
+from tgcn.graph import build_propagation
 
 FAST = ["--hidden", "4", "--seq-len", "4", "--epochs", "3", "--batch", "32",
         "--eval-every", "1", "--seed", "7"]
@@ -328,3 +329,29 @@ def test_eval_malformed_checkpoint_header_clean_error(tmp_path, ring_files):
     err = json.loads(proc.stderr.strip())
     assert err["error"] == "CheckpointError"
     assert "'kind'" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_empty_test_split_data_error(tmp_path, capsys, command):
+    # 20 steps split at 16 leave 4 steps after the split, fewer than the
+    # horizon, so no window has its targets there and there is nothing to
+    # score or write
+    series = np.random.default_rng(40).uniform(10.0, 60.0, (20, 3))
+    feat = write_csv(tmp_path / "speed.csv", series)
+    adjacency = np.ones((3, 3)) - np.eye(3)
+    adj = write_csv(tmp_path / "adj.csv", adjacency)
+    sizes = ["--seq-len", "2", "--horizon-steps", "5", "--hidden", "4"]
+    ckpt = tmp_path / "model.ckpt"
+    models.save_checkpoint(models.SequenceModel(
+        "tgcn", 3, 4, 2, 5, propagation=build_propagation(adjacency)), ckpt)
+    extra = {"train": ["--epochs", "1", "--out", str(ckpt)],
+             "eval": ["--checkpoint", str(ckpt)],
+             "predict": ["--checkpoint", str(ckpt), "--predictions-out",
+                         str(tmp_path / "preds.csv")]}[command]
+    rc = run([command, "--adj", adj, "--features", feat, *sizes, *extra])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "DataError"
+    for fact in ("length 20", "index 16", "seq_len=2", "horizon=5"):
+        assert fact in err["message"]
+    assert not (tmp_path / "preds.csv").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tgcn.errors import ShapeError
+from tgcn.errors import DataError, ShapeError
 from tgcn.metrics import compute_metrics
 
 
@@ -35,6 +35,14 @@ def test_perfect_prediction_fixed_point():
     assert rep.rmse == 0.0 and rep.mae == 0.0
     assert rep.accuracy == 1.0 and rep.r2 == 1.0 and rep.var == 1.0
     assert rep.n_points == 4
+
+
+def test_empty_set_is_a_data_error():
+    # np.var of an empty array is nan, which skipped the degenerate-truth
+    # branch and divided by zero
+    empty = np.empty((0, 3, 2))
+    with pytest.raises(DataError, match="no points"):
+        compute_metrics(empty, empty.copy())
 
 
 def test_unit_residual():

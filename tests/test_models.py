@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import CheckpointError, ConfigError, ShapeError
 from tgcn.graph import build_propagation
-from tgcn.models import (GcnEncoder, GruCell, SequenceModel, TgcnCell,
-                         ha_predict, load_checkpoint, save_checkpoint)
+from tgcn.models import (GATE_PARAMS, GcnEncoder, GruCell, SequenceModel,
+                         TgcnCell, ha_predict, load_checkpoint,
+                         save_checkpoint)
+
+from test_autodiff import unfused_gru_step
 
 
 def random_graph(rng, n):
@@ -169,7 +173,7 @@ def test_gate_ranges():
     _randomize(cell, rng)
     # float64 sigmoid saturates to exactly 1.0 around z ~ 37, so probe the
     # open-interval property at moderate preactivations
-    g = cell.input_transform(Tensor(rng.standard_normal((5, 1))))
+    g = cell.gcn.forward(Tensor(rng.standard_normal((5, 1))))
     h = Tensor(rng.standard_normal((5, 4)))
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ cell.w_u + cell.b_u).data
@@ -284,7 +288,7 @@ def test_batch_predict_equals_stacked_single_windows(kind):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["tgcn", "gcn"])
+@pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru"])
 def test_batch_gradcheck(kind):
     # MSE over a 3-window batch, targets aligned with the node-major rows
     rng = np.random.default_rng(29)
@@ -330,17 +334,116 @@ def tape_nodes(out):
     return count
 
 
-@pytest.mark.parametrize("kind,per_step", [("tgcn", 5), ("gru", 2)])
-def test_forward_tape_node_count(kind, per_step):
-    # per step: the recorded part of the input transform (matmul, relu,
-    # graph_propagate, matmul for tgcn, whose first graph_propagate sees only
-    # the constant input; one matmul for gru) and one gru_step; then the
-    # head's matmul and bias add
+@pytest.mark.parametrize("kind,nodes", [("tgcn", 6), ("gru", 3)])
+def test_forward_tape_node_count(kind, nodes):
+    # a constant per forward, whatever seq_len: the recorded part of the
+    # lift (matmul, relu, matmul for tgcn; gru's lift is w_in itself), one
+    # gru_unroll, then the head's matmul and bias add
     prop = random_graph(np.random.default_rng(25), 4)
-    model = SequenceModel(kind, 4, 3, 12, 1, propagation=prop)
+    for seq_len in (1, 12):
+        model = SequenceModel(kind, 4, 3, seq_len, 1, propagation=prop)
+        model.init_parameters(0)
+        out = model.forward(
+            np.random.default_rng(26).random((2, seq_len, 4)))
+        assert tape_nodes(out) == nodes
+
+
+def stepwise_forward(model, windows):
+    """The cell unrolled one step at a time from primitives: the input
+    transform (GcnEncoder.forward, or x_t·w_in) on each timestep's node-major
+    column, then unfused_gru_step, then the head."""
+    cell = model.encoder
+    batch, seq_len, n = windows.shape
+    h = Tensor(np.zeros((n * batch, model.hidden)))
+    for t in range(seq_len):
+        x_t = Tensor(windows[:, t, :].T.reshape(-1, 1))
+        g = (x_t @ cell.w_in if isinstance(cell, GruCell)
+             else cell.gcn.forward(x_t))
+        h = unfused_gru_step(g, h, *(getattr(cell, k) for k in GATE_PARAMS))
+    return h @ model.proj_w + model.proj_b
+
+
+def _kinked_instance(rng, kind):
+    """A random graph with an isolated node, standard-normal parameters with
+    w0 entries negative, exactly zero and positive, and windows with an
+    all-zero timestep and an all-zero node, so that y = P·x_t is 0."""
+    n = int(rng.integers(2, 7))
+    hidden = int(rng.integers(3, 6))
+    adj = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    adj = adj + adj.T
+    adj[0, :] = adj[:, 0] = 0.0  # node 0 is isolated
+    model = SequenceModel(kind, n, hidden, 4, 2,
+                          propagation=build_propagation(adj))
+    for p in model.parameters().values():
+        p.data[:] = rng.standard_normal(p.shape)
+    if kind == "tgcn":
+        model.encoder.gcn.w0.data[0, :3] = [-0.8, 0.0, 1.1]
+    windows = rng.standard_normal((3, 4, n))
+    windows[:, 1, :] = 0.0
+    windows[:, :, 0] = 0.0
+    return model, windows
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gru"])
+def test_forward_equals_stepwise_unroll(kind):
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        model, windows = _kinked_instance(rng, kind)
+        target = Tensor(rng.standard_normal((windows.shape[2] * 3, 2)))
+        params = list(model.parameters().values())
+        outs, grads = [], []
+        for forward in (model.forward, lambda w: stepwise_forward(model, w)):
+            for p in params:
+                p.zero_grad()
+            out = forward(windows)
+            ad.tensor_mean(ad.square(out - target)).backward()
+            outs.append(out.data)
+            grads.append([p.grad for p in params])
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-10
+        for fused, reference in zip(*grads):
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(fused - reference)) <= 1e-10 * scale
+
+
+def test_relu_gradient_zero_at_kink_in_lift():
+    # relu's gradient at 0 is 0: w0 entries at exactly 0 receive exactly no
+    # gradient through the lift, as through the per-step GCN, and the other
+    # entries still receive one
+    rng = np.random.default_rng(31)
+    model, windows = _kinked_instance(rng, "tgcn")
+    w0 = model.encoder.gcn.w0
+    target = Tensor(rng.standard_normal((windows.shape[2] * 3, 2)))
+    for forward in (model.forward, lambda w: stepwise_forward(model, w)):
+        w0.zero_grad()
+        ad.tensor_mean(ad.square(forward(windows) - target)).backward()
+        assert w0.grad[0, 1] == 0.0
+        assert np.all(w0.grad[0, [0, 2]] != 0.0)
+    w0.data[:] = 0.0
+    w0.zero_grad()
+    ad.tensor_mean(ad.square(model.forward(windows) - target)).backward()
+    assert np.array_equal(w0.grad, np.zeros_like(w0.data))
+
+
+def test_predict_memory_bounded_by_state_size():
+    # a batch whose (m, hidden) state is far larger than the parameters:
+    # inference keeps about five (m, hidden) buffers and no per-step blocks
+    n, batch, hidden, seq_len = 50, 200, 64, 4
+    rng = np.random.default_rng(32)
+    model = SequenceModel("tgcn", n, hidden, seq_len, 1,
+                          propagation=random_graph(rng, n))
     model.init_parameters(0)
-    out = model.forward(np.random.default_rng(26).random((2, 12, 4)))
-    assert tape_nodes(out) == 12 * per_step + 2
+    windows = rng.random((batch, seq_len, n))
+    state_bytes = n * batch * hidden * 8
+    param_bytes = sum(p.data.nbytes for p in model.parameters().values())
+    assert state_bytes > 20 * param_bytes
+    model.predict(windows[:1])  # first-call allocations
+    tracemalloc.start()
+    try:
+        model.predict(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * state_bytes, peak / state_bytes
 
 
 # -- HA baseline -------------------------------------------------------------
