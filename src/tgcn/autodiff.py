@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
+# rows per block of gru_unroll: a block's step buffers stay about L2-sized
+# while it runs the whole window (256 to 512 rows measured alike)
+ROW_BLOCK = 512
+
 
 class _GradMode(threading.local):
     # per thread, so that no_grad on an evaluation worker cannot switch
@@ -328,14 +332,23 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         c    = tanh([feats_t | 1 | r∘h]·[V_c; b_c; W_c,h])
         h   <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
-    and the result is h after step L. When recording, [feats_t | 1 | h_{t−1}],
-    [u|r] and c of every step are kept in three (L, m, ·) blocks allocated
-    once, and the backward replays the steps in reverse. Its GEMMs with the
-    same left operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations'
-    gradients dz_t, the bias gradients and the state rows' gradients at
-    once; lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV. When nothing
-    records, nothing is kept: every step reuses one [feats_t | 1 | h]
-    buffer, [u|r], c and the state.
+    and the result is h after step L. No row's update reads another row,
+    so the rows run in blocks of ROW_BLOCK, and each block runs all L steps
+    before the next block starts: the buffers a step touches stay in cache
+    across the window instead of streaming all m rows from memory on every
+    step.
+
+    When recording, [feats_t | 1 | h_{t−1}], [u|r] and c of every step and
+    row are kept in three (L, m, ·) blocks allocated once; each row block
+    writes its rows of them. The backward replays each row block's steps in
+    reverse with block-sized scratch and stitches the h0 gradient from the
+    blocks' rows. Its GEMMs with the same left operands sum
+    dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients dz_t, the
+    bias gradients and the state rows' gradients, across steps and blocks;
+    lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV. When nothing records,
+    only the (m, k) result outlives the call: every step of every block
+    reuses one block-sized [feats_t | 1 | h] buffer, [u|r] and c, and a
+    block's state is updated in place in its rows of the result.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -360,74 +373,92 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
-    kept = n_steps if record else 1
-    xh = np.empty((kept, m, q + k))  # [feats_t | 1 | h_{t-1}]
-    xh[:, :, r] = 1.0
-    ur = np.empty((kept, m, 2 * k))
-    c = np.empty((kept, m, k))
-    out = np.empty((m, k))  # the state when nothing is kept
-    xrh = None  # [feats_t | 1 | r∘h]
-    if record:
-        xh[:, :, :r] = feats
-        xh[0, :, q:] = h0.data
-        xrh = np.empty((m, q + k))
-        xrh[:, r] = 1.0
-    else:
-        out[...] = h0.data
-    for t in range(n_steps):
-        x, z, cand = (xh[t], ur[t], c[t]) if record else (xh[0], ur[0], c[0])
-        if not record:
-            x[:, :r] = feats[t]
-            x[:, q:] = out
-        np.matmul(x, w_ur, out=z)
-        _sigmoid_values(z, out=z)
-        u, rg = z[:, :k], z[:, k:]
-        xr = xrh if record else x  # unkept: r∘h overwrites h in place
-        xr[:, :r] = feats[t]
-        np.multiply(rg, x[:, q:], out=xr[:, q:])
-        np.matmul(xr, w_xc, out=cand)
-        np.tanh(cand, out=cand)
-        h = x[:, q:] if record else out
-        dest = xh[t + 1, :, q:] if record and t + 1 < n_steps else out
-        np.subtract(h, cand, out=dest)
-        dest *= u
-        dest += cand
+    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
+    rows = min(m, ROW_BLOCK)  # the tallest block
+    out = np.empty((m, k))
+    # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
+    # recording, else one block's rows reused by every step
+    kept = (n_steps, m) if record else (1, rows)
+    xh = np.empty(kept + (q + k,))
+    ur = np.empty(kept + (2 * k,))
+    c = np.empty(kept + (k,))
+    xrh = np.empty((rows, q + k))  # [feats_t | 1 | r∘h] when recording
+    xrh[:, r] = 1.0
+    for s, e in blocks:
+        rs = slice(s, e) if record else slice(0, e - s)
+        state = out[s:e]
+        xh[:, rs, r] = 1.0
+        if record:
+            xh[:, rs, :r] = feats[:, s:e]
+            xh[0, rs, q:] = h0.data[s:e]
+        else:
+            state[...] = h0.data[s:e]
+        for t in range(n_steps):
+            i = t if record else 0
+            x, z, cand = xh[i, rs], ur[i, rs], c[i, rs]
+            if not record:
+                x[:, :r] = feats[t, s:e]
+                x[:, q:] = state
+            np.matmul(x, w_ur, out=z)
+            _sigmoid_values(z, out=z)
+            u, rg = z[:, :k], z[:, k:]
+            if record:
+                h, xr = x[:, q:], xrh[:e - s]
+                xr[:, :r] = feats[t, s:e]
+            else:  # unkept: r∘h overwrites x's copy of h
+                h, xr = state, x
+            np.multiply(rg, h, out=xr[:, q:])
+            np.matmul(xr, w_xc, out=cand)
+            np.tanh(cand, out=cand)
+            dest = xh[t + 1, rs, q:] if record and t + 1 < n_steps else state
+            np.subtract(h, cand, out=dest)
+            dest *= u
+            dest += cand
 
     def bwd(grad):
-        # one set of buffers for the whole replay
-        dh = np.array(grad, dtype=np.float64)
-        gu, dc, drh = (np.empty((m, k)) for _ in range(3))
-        dz, dsig = np.empty((m, 2 * k)), np.empty((m, 2 * k))
-        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over
-        # the steps: dV, then the bias gradients, then the state rows'
+        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the
+        # steps and row blocks: dV, then the bias gradients, then the state
+        # rows' gradients
         g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
-        for t in reversed(range(n_steps)):
-            x, z, cand = xh[t], ur[t], c[t]
-            h, u, rg = x[:, q:], z[:, :k], z[:, k:]
-            np.multiply(dh, u, out=gu)
-            # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
-            np.subtract(dh, gu, out=dc)
-            np.multiply(cand, cand, out=drh)
-            np.subtract(1.0, drh, out=drh)
-            dc *= drh
-            np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
-            # the update and reset pre-activations side by side, through
-            # σ' = σ(1 − σ)
-            np.subtract(h, cand, out=dz[:, :k])
-            dz[:, :k] *= dh
-            np.multiply(drh, h, out=dz[:, k:])
-            np.subtract(1.0, z, out=dsig)
-            dsig *= z
-            dz *= dsig
-            g_ur += x.T @ dz
-            xrh[:, :r] = x[:, :r]
-            np.multiply(rg, h, out=xrh[:, q:])
-            g_c += xrh.T @ dc
-            if t or h0.requires_grad:
-                np.matmul(dz, w_ur[q:].T, out=dh)
-                dh += gu
-                np.multiply(drh, rg, out=gu)
-                dh += gu
+        t_ur, t_c = np.empty_like(g_ur), np.empty_like(g_c)
+        dh0 = np.empty((m, k)) if h0.requires_grad else None
+        # one set of block-sized buffers for the whole replay
+        dh_, gu_, dc_, drh_ = (np.empty((rows, k)) for _ in range(4))
+        dz_, dsig_ = np.empty((rows, 2 * k)), np.empty((rows, 2 * k))
+        for s, e in blocks:
+            b = e - s
+            dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
+            dz, dsig, xr = dz_[:b], dsig_[:b], xrh[:b]
+            dh[...] = grad[s:e]
+            for t in reversed(range(n_steps)):
+                x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
+                h, u, rg = x[:, q:], z[:, :k], z[:, k:]
+                np.multiply(dh, u, out=gu)
+                # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
+                np.subtract(dh, gu, out=dc)
+                np.multiply(cand, cand, out=drh)
+                np.subtract(1.0, drh, out=drh)
+                dc *= drh
+                np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
+                # the update and reset pre-activations side by side,
+                # through σ' = σ(1 − σ)
+                np.subtract(h, cand, out=dz[:, :k])
+                dz[:, :k] *= dh
+                np.multiply(drh, h, out=dz[:, k:])
+                np.subtract(1.0, z, out=dsig)
+                dsig *= z
+                dz *= dsig
+                g_ur += np.matmul(x.T, dz, out=t_ur)
+                xr[:, :r] = x[:, :r]
+                np.multiply(rg, h, out=xr[:, q:])
+                g_c += np.matmul(xr.T, dc, out=t_c)
+                if t or dh0 is not None:
+                    np.matmul(dz, w_ur[q:].T, out=dh)
+                    dh += gu
+                    np.multiply(drh, rg, out=gu)
+                    dh += gu
+            if dh0 is not None:
+                dh0[s:e] = dh
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T
@@ -440,8 +471,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                          (b_r, g_ur[r:q, k:]), (b_c, g_c[r:q])):
             if param.requires_grad:
                 param._accumulate(g)
-        if h0.requires_grad:
-            h0._accumulate(dh, fresh=True)
+        if dh0 is not None:
+            h0._accumulate(dh0, fresh=True)
 
     return Tensor._make(out, (lift, h0) + weights + biases, bwd)
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import denormalize
-from .errors import ConfigError, ShapeError, TrainingDiverged
+from .errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from .metrics import MetricsReport, compute_metrics
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "rmse", "mae", "accuracy", "r2", "var")
@@ -152,14 +152,20 @@ def train(model, train_windows, test_windows, dataset, config):
 
     Evaluates on the test windows every config.eval_every epochs (and at the
     final epoch), tracking the parameter snapshot with the best test RMSE.
+    A non-finite loss or gradient raises TrainingDiverged naming the epoch
+    and the batch within it, both counted from 1.
     """
+    n_windows = len(train_windows)
+    if n_windows == 0:
+        raise DataError(
+            f"no training windows: a series of length {dataset.n_timesteps} "
+            f"split at index {dataset.split_index} needs the split above "
+            f"seq_len + horizon = {model.seq_len + model.horizon} "
+            f"(seq_len={model.seq_len}, horizon={model.horizon})")
     params = model.parameters()
     weights = model.weight_parameters()
     opt = Adam(params, lr=config.lr)
     rng = np.random.default_rng(config.seed)
-    n_windows = len(train_windows)
-    if n_windows == 0:
-        raise TrainingDiverged("no training windows")
 
     history = []
     best_rmse = np.inf
@@ -177,12 +183,13 @@ def train(model, train_windows, test_windows, dataset, config):
             # node-major, like the rows of the forward pass
             batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
             batch_tg = batch_tg.reshape(-1, model.horizon)
+            where = f"epoch {epoch}, batch {n_batches + 1}"
             opt.zero_grad()
             pred = model.forward(batch_in)
             batch_loss = loss(pred, batch_tg, weights, config.weight_decay)
             lval = float(batch_loss.data)
             if not np.isfinite(lval):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                raise TrainingDiverged(f"non-finite loss at {where}")
             batch_loss.backward()
             # free this step's tape now, not when the next forward rebinds
             # the names, so that two tapes are never alive at once
@@ -191,7 +198,7 @@ def train(model, train_windows, test_windows, dataset, config):
             try:
                 opt.step()
             except TrainingDiverged as exc:
-                raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
+                raise TrainingDiverged(f"{where}: {exc}") from exc
             epoch_loss += lval
             n_batches += 1
         mean_loss = epoch_loss / n_batches

@@ -306,6 +306,50 @@ def test_gru_step_matches_unfused_composition(m, p, k, h_const):
             assert np.max(np.abs(fused - unfused)) <= 1e-12
 
 
+BLOCK = 4  # a row block small enough for a few rows to span several
+
+
+@pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("h_const", [False, True])
+def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, h_const):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(30 + m)
+    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2, h_const)
+    if h_const:  # a nonzero first state, so every block's h0 rows count
+        xs[1] = Tensor(rng.standard_normal((m, 2)))
+    weight = Tensor(rng.standard_normal((m, 2)))
+    want = unfused_unroll(feats, *xs)
+    ad.tensor_sum(want * weight).backward()
+    want_grads = [x.grad for x in xs]
+    with ad.no_grad():
+        assert np.max(np.abs(ad.gru_unroll(feats, *xs).data
+                             - want.data)) <= 1e-12
+    for x in xs:
+        x.zero_grad()
+    out = ad.gru_unroll(feats, *xs)
+    ad.tensor_sum(out * weight).backward()
+    assert np.max(np.abs(out.data - want.data)) <= 1e-12
+    for x, unfused in zip(xs, want_grads):
+        if not x.requires_grad:
+            assert x.grad is None
+            continue
+        assert np.max(np.abs(x.grad - unfused)) <= 1e-12
+
+
+def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(31)
+    m = 2 * BLOCK + 3
+    feats, xs = unroll_inputs(rng, 3, m, 2, 2, 3)
+    weight = Tensor(rng.standard_normal((m, 3)))
+
+    def f(_):
+        return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
+
+    report = gradcheck(f, xs, tol=1e-7)
+    assert report.passed, report.per_input
+
+
 def test_gru_step_records_nothing_under_no_grad():
     m, k = 300, 40
     feats, xs = unroll_inputs(np.random.default_rng(22), 6, m, 2, 3, k)

@@ -355,3 +355,19 @@ def test_empty_test_split_data_error(tmp_path, capsys, command):
     for fact in ("length 20", "index 16", "seq_len=2", "horizon=5"):
         assert fact in err["message"]
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_empty_training_split_data_error(tmp_path, capsys):
+    # 14 steps split at 11: a training window needs its 12 inputs and one
+    # target before the split, so there is none, while test windows exist
+    series = np.random.default_rng(41).uniform(10.0, 60.0, (14, 3))
+    feat = write_csv(tmp_path / "speed.csv", series)
+    rc = run(["train", "--model", "gru", "--features", feat, "--seq-len",
+              "12", "--hidden", "4", "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip())
+    assert err["error"] == "DataError"
+    for fact in ("length 14", "index 11", "seq_len=12", "horizon=1"):
+        assert fact in err["message"]

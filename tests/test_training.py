@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ring_adjacency, ring_series
 from tgcn import autodiff as ad
-from tgcn import data
+from tgcn import data, training
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ShapeError, TrainingDiverged
 from tgcn.graph import build_propagation
@@ -246,6 +246,41 @@ def test_train_frees_each_step_tape_before_next_forward():
     train(model, train_ws, test_ws, ds, config)
     assert len(refs) > 4
     assert alive_at == []
+
+
+def test_nonfinite_loss_names_epoch_and_batch():
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(0)
+    config = TrainConfig(batch_size=8, epochs=2, seed=5, eval_every=1)
+    # poison the window that epoch 1 draws fourth in its third batch
+    bad = np.random.default_rng(config.seed).permutation(len(train_ws))[19]
+    targets = train_ws.targets.copy()
+    targets[bad, 0, 0] = np.nan
+    poisoned = data.WindowSet(train_ws.inputs, targets)
+    with pytest.raises(TrainingDiverged,
+                       match=r"non-finite loss at epoch 1, batch 3$"):
+        train(model, poisoned, test_ws, ds, config)
+
+
+def test_nonfinite_gradient_names_epoch_and_batch(monkeypatch):
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(0)
+    config = TrainConfig(batch_size=8, epochs=2, seed=5, eval_every=1)
+    per_epoch = -(-len(train_ws) // config.batch_size)
+    calls = []
+
+    def poison_second_batch_of_epoch_2(params, max_norm):
+        calls.append(None)
+        if len(calls) == per_epoch + 2:
+            params["w_c"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(training, "clip_gradients",
+                        poison_second_batch_of_epoch_2)
+    with pytest.raises(TrainingDiverged, match=r"^epoch 2, batch 2: "
+                       r"non-finite gradient for w_c$"):
+        train(model, train_ws, test_ws, ds, config)
 
 
 def _threaded_history(monkeypatch, threads):
