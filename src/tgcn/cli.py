@@ -252,8 +252,10 @@ def cmd_perturb(args, parser):
 
 
 def cmd_gradcheck(args, parser):
-    rng = np.random.default_rng(args.seed)
     n = args.nodes
+    if n < 1:  # the random graph below is drawn before the model checks sizes
+        raise ConfigError(f"--nodes must be >= 1, got {n}")
+    rng = np.random.default_rng(args.seed)
     adj = (rng.random((n, n)) < 0.5).astype(float)
     adj = np.triu(adj, 1)
     adj = adj + adj.T

@@ -16,6 +16,12 @@ x_t, one value per node (a convolution of [x_t | h] would not reduce):
 then relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t,
 so the convolution is the features [P·relu(y) | P·relu(−y)] times the lift
 relu([w0; −w0])·w1, and r = 2. For the GRU baseline x_t·w_in has r = 1.
+
+Each encoder applies the head's weight proj_w itself, and `SequenceModel`
+adds the bias. The cells multiply their last state by it. The GCN baseline
+is linear after its ReLU, so it folds proj_w into its last weight and
+propagates last: prop·(relu(prop·X·W0)·(W1·proj_w)), whose second
+propagation and W1 product run on horizon columns instead of hidden ones.
 """
 
 from __future__ import annotations
@@ -51,6 +57,11 @@ class GcnEncoder:
     The outer activation is the identity; the consuming gates (or linear
     head) apply their own nonlinearity. `params` holds the weights under
     their checkpoint names.
+
+    Everything after the ReLU is linear, so a head that follows folds into
+    the last weight: (prop·H·W1)·head = prop·(H·(W1·head)). `forward` then
+    runs the second propagation last, on head's few columns rather than
+    W1's hidden ones.
     """
 
     def __init__(self, propagation, in_dim, gc_hidden, out_dim):
@@ -59,14 +70,18 @@ class GcnEncoder:
         self.w1 = _param(gc_hidden, out_dim)
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
-    def forward(self, x):
+    def forward(self, x, head=None):
+        """prop·relu(prop·x·W0)·W1, times head when one is given."""
         h = ad.relu(ad.graph_propagate(self.propagation, x) @ self.w0)
-        return ad.graph_propagate(self.propagation, h) @ self.w1
+        # recorded as a product, so autodiff gives w1 and head gradients
+        w = self.w1 if head is None else self.w1 @ head
+        return ad.graph_propagate(self.propagation, h @ w)
 
-    def encode(self, windows):
-        """GCN baseline: each node's seq_len past values are its features."""
+    def encode(self, windows, head):
+        """GCN baseline: each node's seq_len past values are its features;
+        the head is folded into W1."""
         return self.forward(Tensor(
-            windows.transpose(2, 0, 1).reshape(-1, windows.shape[1])))
+            windows.transpose(2, 0, 1).reshape(-1, windows.shape[1])), head)
 
 
 class TgcnCell:
@@ -119,11 +134,13 @@ class TgcnCell:
         return self._unroll(np.reshape(getattr(x_t, "data", x_t), (1, -1)),
                             h_prev)
 
-    def encode(self, windows):
-        """Unroll over the window from a zero state; the last hidden state."""
+    def encode(self, windows, head):
+        """Unroll over the window from a zero state; the last hidden state
+        times head."""
         x = windows.transpose(1, 2, 0).reshape(windows.shape[1], -1)
         # a zero-stride constant: the zero state takes no memory
-        return self._unroll(x, np.broadcast_to(0.0, (x.shape[1], self.hidden)))
+        return self._unroll(
+            x, np.broadcast_to(0.0, (x.shape[1], self.hidden))) @ head
 
 
 class GruCell(TgcnCell):
@@ -143,8 +160,8 @@ class GruCell(TgcnCell):
 
 class ModelKind(NamedTuple):
     needs_graph: bool
-    # model -> the component before its linear head; None for the
-    # historical average, which learns nothing
+    # model -> the encoder, which applies the linear head's weight; None
+    # for the historical average, which learns nothing
     build: Callable | None
 
 
@@ -159,7 +176,8 @@ MODEL_KINDS = {
 
 class SequenceModel:
     """One forecasting model: an encoder (a recurrent cell unrolled over the
-    window, or the GCN over the whole window) plus the linear output head.
+    window, or the GCN over the whole window) plus the linear output head,
+    whose weight the encoder applies.
 
     kind is a key of MODEL_KINDS. Prediction maps a window of seq_len
     timesteps over n_nodes to horizon future values per node.
@@ -236,7 +254,7 @@ class SequenceModel:
         if self.encoder is None:  # the batch as one (seq_len, n*B) window
             return Tensor(ha_predict(
                 windows.transpose(1, 2, 0).reshape(seq_len, -1), self.horizon))
-        return self.encoder.encode(windows) @ self.proj_w + self.proj_b
+        return self.encoder.encode(windows, self.proj_w) + self.proj_b
 
     def predict(self, windows):
         """Inference without graph recording; returns (batch, n, horizon)."""

@@ -30,10 +30,16 @@ class TrainConfig:
     clip: float = 5.0  # global gradient-norm clip; <= 0 disables
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("lr >= 0, batch_size >= 1, epochs >= 1 required")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        for name in ("batch_size", "epochs", "eval_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("lr", "weight_decay", "clip"):
+            value = getattr(self, name)
+            if not np.isfinite(value):  # NaN passes every comparison
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value < 0 and name != "clip":  # a clip <= 0 disables it
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 class Adam:

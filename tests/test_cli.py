@@ -232,6 +232,14 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_command_gcn_horizon_3(capsys):
+    # the GCN baseline folds its head into W1, so a multi-column head
+    # exercises the folded product's gradient
+    rc = run(["gradcheck", "--model", "gcn", "--horizon-steps", "3"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_metrics_json_deterministic(tmp_path, ring_files):
     adj, feat = ring_files
     payloads = []
@@ -269,6 +277,28 @@ def test_bad_size_flag_config_error(ring_files, capsys, flag, value):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--eval-every", "0"), ("train", "--lambda", "nan"),
+    ("train", "--clip", "nan"), ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"), ("gradcheck", "--nodes", "-1"),
+])
+def test_bad_training_flag_config_error(tmp_path, ring_files, capsys,
+                                        command, flag, value):
+    adj, feat = ring_files
+    ckpt = tmp_path / "model.ckpt"
+    argv = (["gradcheck", flag, value] if command == "gradcheck" else
+            ["train", "--adj", adj, "--features", feat, "--model", "gcn",
+             *FAST, "--out", str(ckpt), flag, value])
+    rc = run(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"got {value}" in err["message"]
+    assert not list(tmp_path.glob("model.ckpt*"))
 
 
 def test_predict_checks_checkpoint_kind(tmp_path, ring_files, capsys):

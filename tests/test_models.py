@@ -363,7 +363,7 @@ def stepwise_forward(model, windows):
     return h @ model.proj_w + model.proj_b
 
 
-def _kinked_instance(rng, kind):
+def _kinked_instance(rng, kind, horizon=2):
     """A random graph with an isolated node, standard-normal parameters with
     w0 entries negative, exactly zero and positive, and windows with an
     all-zero timestep and an all-zero node, so that y = P·x_t is 0."""
@@ -372,7 +372,7 @@ def _kinked_instance(rng, kind):
     adj = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
     adj = adj + adj.T
     adj[0, :] = adj[:, 0] = 0.0  # node 0 is isolated
-    model = SequenceModel(kind, n, hidden, 4, 2,
+    model = SequenceModel(kind, n, hidden, 4, horizon,
                           propagation=build_propagation(adj))
     for p in model.parameters().values():
         p.data[:] = rng.standard_normal(p.shape)
@@ -403,6 +403,59 @@ def test_forward_equals_stepwise_unroll(kind):
         for fused, reference in zip(*grads):
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(fused - reference)) <= 1e-10 * scale
+
+
+def unfolded_gcn_forward(model, windows):
+    """The GCN baseline in the order of its equation, the head last:
+    (P·relu(P·X·W0)·W1)·proj_w + proj_b."""
+    enc = model.encoder
+    x = Tensor(windows.transpose(2, 0, 1).reshape(-1, windows.shape[1]))
+    h = ad.relu(ad.graph_propagate(enc.propagation, x) @ enc.w0)
+    return (ad.graph_propagate(enc.propagation, h) @ enc.w1 @ model.proj_w
+            + model.proj_b)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_gcn_folded_head_equals_unfolded(horizon):
+    # W1·proj_w is one recorded product, so w1 and proj_w must each get the
+    # gradient the unfolded chain gives them
+    rng = np.random.default_rng(33 + horizon)
+    for _ in range(20):
+        model, windows = _kinked_instance(rng, "gcn", horizon)
+        target = Tensor(rng.standard_normal((windows.shape[2] * 3, horizon)))
+        params = list(model.parameters().values())
+        outs, grads = [], []
+        for forward in (model.forward,
+                        lambda w: unfolded_gcn_forward(model, w)):
+            for p in params:
+                p.zero_grad()
+            out = forward(windows)
+            ad.tensor_mean(ad.square(out - target)).backward()
+            outs.append(out.data)
+            grads.append([p.grad for p in params])
+        scale = max(1.0, float(np.max(np.abs(outs[1]))))
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * scale
+        for folded, reference in zip(*grads):
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(folded - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_gcn_second_propagation_runs_on_horizon_columns(monkeypatch, horizon):
+    n, batch, hidden, seq_len = 4, 3, 7, 5
+    model = SequenceModel("gcn", n, hidden, seq_len, horizon,
+                          propagation=random_graph(np.random.default_rng(35), n))
+    model.init_parameters(0)
+    shapes = []
+    propagate = ad.graph_propagate
+
+    def recorded(prop, x):
+        shapes.append(x.shape)
+        return propagate(prop, x)
+
+    monkeypatch.setattr(ad, "graph_propagate", recorded)
+    model.forward(np.random.default_rng(36).random((batch, seq_len, n)))
+    assert shapes == [(n * batch, seq_len), (n * batch, horizon)]
 
 
 def test_relu_gradient_zero_at_kink_in_lift():
