@@ -292,7 +292,7 @@ def relu(x):
     def bwd(g, x=x, mask=mask):
         x._accumulate(g * mask, fresh=True)
 
-    return Tensor._make(x.data * mask, (x,), bwd)
+    return Tensor._make(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 def square(x):
@@ -338,17 +338,18 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     across the window instead of streaming all m rows from memory on every
     step.
 
-    When recording, [feats_t | 1 | h_{t−1}], [u|r] and c of every step and
-    row are kept in three (L, m, ·) blocks allocated once; each row block
-    writes its rows of them. The backward replays each row block's steps in
-    reverse with block-sized scratch and stitches the h0 gradient from the
-    blocks' rows. Its GEMMs with the same left operands sum
-    dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients dz_t, the
-    bias gradients and the state rows' gradients, across steps and blocks;
-    lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV. When nothing records,
-    only the (m, k) result outlives the call: every step of every block
-    reuses one block-sized [feats_t | 1 | h] buffer, [u|r] and c, and a
-    block's state is updated in place in its rows of the result.
+    A block's state lives only in its rows of the result, set from h0 and
+    updated in place; each step copies feats_t and the state into its
+    [feats_t | 1 | h] rows. When recording, those rows, [u|r] and c are kept
+    for every step in three (L, m, ·) blocks allocated once, so the copy
+    keeps h_{t−1} for the backward, and r∘h goes to a block-sized
+    [feats_t | 1 | r∘h]; else every step reuses one block-sized set of the
+    three and r∘h overwrites the copy of h.
+    The backward replays each row block's steps in reverse with block-sized
+    scratch and stitches the h0 gradient from the blocks' rows. Its GEMMs with
+    the same left operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations'
+    gradients dz_t, the bias gradients and the state rows' gradients, across
+    steps and blocks; lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -383,37 +384,29 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     ur = np.empty(kept + (2 * k,))
     c = np.empty(kept + (k,))
     xrh = np.empty((rows, q + k))  # [feats_t | 1 | r∘h] when recording
+    xh[..., r] = 1.0
     xrh[:, r] = 1.0
     for s, e in blocks:
         rs = slice(s, e) if record else slice(0, e - s)
         state = out[s:e]
-        xh[:, rs, r] = 1.0
-        if record:
-            xh[:, rs, :r] = feats[:, s:e]
-            xh[0, rs, q:] = h0.data[s:e]
-        else:
-            state[...] = h0.data[s:e]
+        state[...] = h0.data[s:e]
         for t in range(n_steps):
             i = t if record else 0
             x, z, cand = xh[i, rs], ur[i, rs], c[i, rs]
-            if not record:
-                x[:, :r] = feats[t, s:e]
-                x[:, q:] = state
+            x[:, :r] = feats[t, s:e]
+            x[:, q:] = state
             np.matmul(x, w_ur, out=z)
             _sigmoid_values(z, out=z)
             u, rg = z[:, :k], z[:, k:]
-            if record:
-                h, xr = x[:, q:], xrh[:e - s]
-                xr[:, :r] = feats[t, s:e]
-            else:  # unkept: r∘h overwrites x's copy of h
-                h, xr = state, x
-            np.multiply(rg, h, out=xr[:, q:])
+            # r∘h beside a copy of feats_t, or unkept over x's copy of h
+            xr = xrh[:e - s] if record else x
+            xr[:, :r] = x[:, :r]
+            np.multiply(rg, state, out=xr[:, q:])
             np.matmul(xr, w_xc, out=cand)
             np.tanh(cand, out=cand)
-            dest = xh[t + 1, rs, q:] if record and t + 1 < n_steps else state
-            np.subtract(h, cand, out=dest)
-            dest *= u
-            dest += cand
+            state -= cand
+            state *= u
+            state += cand
 
     def bwd(grad):
         # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the

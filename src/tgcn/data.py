@@ -182,8 +182,12 @@ def make_windows(dataset, seq_len, horizon):
 def rescaled_noise_matrix(shape, dist, param, seed):
     """Draw a noise matrix and min-max rescale it so its own extrema are
     exactly 0 and 1."""
-    if param is None or param <= 0:
-        raise ConfigError(f"noise parameter must be positive, got {param}")
+    # the paper's settings are at most 16, and the rescale cancels a
+    # Gaussian's scale; far larger values overflow the rescale (Gaussian,
+    # near 1e307) or the Poisson sampler (λ near 9.2e18), and NaN fails both
+    # comparisons
+    if param is None or not 0 < param <= 1e6:
+        raise ConfigError(f"noise parameter must be in (0, 1e6], got {param}")
     rng = np.random.default_rng(seed)
     if dist == "gaussian":
         noise = rng.normal(0.0, param, size=shape)

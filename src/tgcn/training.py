@@ -102,10 +102,10 @@ def clip_gradients(params, max_norm):
 
 
 def _eval_threads():
-    try:
-        return max(1, int(os.environ.get("TGCN_THREADS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("TGCN_THREADS", "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(f"TGCN_THREADS is not a positive integer: {value!r}")
+    return int(value)
 
 
 def predict_windows(model, inputs):
@@ -168,6 +168,7 @@ def train(model, train_windows, test_windows, dataset, config):
             f"split at index {dataset.split_index} needs the split above "
             f"seq_len + horizon = {model.seq_len + model.horizon} "
             f"(seq_len={model.seq_len}, horizon={model.horizon})")
+    _eval_threads()  # a bad TGCN_THREADS fails now, not at the first eval
     params = model.parameters()
     weights = model.weight_parameters()
     opt = Adam(params, lr=config.lr)

@@ -334,6 +334,13 @@ def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, h_const):
             assert x.grad is None
             continue
         assert np.max(np.abs(x.grad - unfused)) <= 1e-12
+    # one forward loop serves both grad modes, so they give the same bits,
+    # from the zero-stride first state the models pass and from a random one
+    for h0 in (np.broadcast_to(0.0, (m, 2)), xs[1]):
+        args = [xs[0], h0, *xs[2:]]
+        with ad.no_grad():
+            free = ad.gru_unroll(feats, *args).data
+        assert np.array_equal(free, ad.gru_unroll(feats, *args).data)
 
 
 def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):

@@ -208,6 +208,18 @@ def test_perturb_zero_param_config_error(tmp_path, ring_files, capsys):
     assert err["error"] == "ConfigError"
 
 
+def test_perturb_nan_param_config_error(ring_files, capsys):
+    adj, feat = ring_files
+    rc = run(["perturb", "--adj", adj, "--features", feat, "--model", "tgcn",
+              *FAST, "--dist", "gaussian", "--param", "nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "got nan" in payload["message"]
+
+
 def test_perturb_sweep(tmp_path, ring_files):
     adj, feat = ring_files
     metrics = tmp_path / "metrics.json"

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +270,19 @@ def test_add_noise_rejects_nonpositive_param():
         data.add_noise(ds, "gaussian", 0.0, seed=1)
     with pytest.raises(ConfigError):
         data.add_noise(ds, "poisson", -1.0, seed=1)
+
+
+@pytest.mark.parametrize("dist, param", [
+    ("gaussian", float("nan")), ("gaussian", float("inf")),
+    ("gaussian", 1e308), ("poisson", float("nan")),
+    ("poisson", float("inf")), ("poisson", 1e19)])
+def test_noise_matrix_rejects_unusable_param(dist, param):
+    # nan would give an all-NaN matrix, the rest overflow the rescale or
+    # the Poisson sampler
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(f"got {param}") + "$"):
+            data.rescaled_noise_matrix((40, 4), dist, param, seed=1)
 
 
 def test_add_noise_unknown_dist():

@@ -8,7 +8,7 @@ from conftest import ring_adjacency, ring_series
 from tgcn import autodiff as ad
 from tgcn import data, training
 from tgcn.autodiff import Tensor, gradcheck
-from tgcn.errors import ShapeError, TrainingDiverged
+from tgcn.errors import ConfigError, ShapeError, TrainingDiverged
 from tgcn.graph import build_propagation
 from tgcn.models import SequenceModel
 from tgcn.training import (Adam, TrainConfig, clip_gradients, evaluate, loss,
@@ -226,6 +226,19 @@ def test_threaded_evaluation_matches_serial(monkeypatch):
     monkeypatch.setenv("TGCN_THREADS", "4")
     threaded = predict_windows(model, test_ws.inputs)
     assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_eval_threads_is_config_error(monkeypatch, value):
+    from tgcn.training import predict_windows
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(5)
+    monkeypatch.setenv("TGCN_THREADS", value)
+    with pytest.raises(ConfigError, match=f": '{value}'$"):
+        predict_windows(model, test_ws.inputs)
+    with pytest.raises(ConfigError, match=f": '{value}'$"):
+        train(model, train_ws, test_ws, ds, TrainConfig(epochs=1))
 
 
 def test_train_frees_each_step_tape_before_next_forward():
