@@ -50,18 +50,13 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """Dense float64 array participating in a recorded computation graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -120,12 +115,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
 
     # -- backward pass -----------------------------------------------------
 
@@ -491,6 +480,9 @@ def tensor_mean(x):
 
 # -- gradient checking -----------------------------------------------------
 
+GRADCHECK_STEP = 1e-5  # central-difference step h
+
+
 @dataclass
 class GradCheckReport:
     """Per-input maximum relative error between analytic and numeric grads."""
@@ -503,7 +495,7 @@ class GradCheckReport:
         return self.max_rel_err < self.tol
 
 
-def gradcheck(f, inputs, tol=1e-4, h=1e-5):
+def gradcheck(f, inputs, tol=1e-4):
     """Compare analytic gradients of scalar-valued ``f`` to central differences.
 
     ``inputs`` is a list of Tensors with requires_grad set; f(inputs) must
@@ -527,12 +519,12 @@ def gradcheck(f, inputs, tol=1e-4, h=1e-5):
         with no_grad():
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
+                flat[i] = orig + GRADCHECK_STEP
                 fp = float(f(inputs).data)
-                flat[i] = orig - h
+                flat[i] = orig - GRADCHECK_STEP
                 fm = float(f(inputs).data)
                 flat[i] = orig
-                num[i] = (fp - fm) / (2.0 * h)
+                num[i] = (fp - fm) / (2.0 * GRADCHECK_STEP)
         a = analytic[idx].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1.0)
         rel = float(np.max(np.abs(a - num) / denom)) if flat.size else 0.0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff, data, graph, models, training
+from . import autodiff, data, graph, metrics, models, training
 from .errors import CheckpointError, ConfigError, DataError, TgcnError
 
 GAUSSIAN_SWEEP = (0.2, 0.4, 0.8, 1.0, 2.0)
@@ -238,16 +238,9 @@ def cmd_perturb(args, parser):
             out = base.with_name(
                 f"{base.stem}_{args.dist}_{value:g}{base.suffix}")
         write_metrics_json(out, report, args, perturbation)
-        rows.append((value, report))
-    sweep_path = args.sweep_out or "perturb_sweep.csv"
-    with open(sweep_path, "w") as fh:
-        fh.write("param,rmse,mae,accuracy,r2,var\n")
-        for value, rep in rows:
-            d = rep.to_dict()
-            fh.write(",".join(
-                [f"{value:g}"] + ["" if d[k] is None else repr(d[k])
-                                  for k in ("rmse", "mae", "accuracy",
-                                            "r2", "var")]) + "\n")
+        rows.append({"param": f"{value:g}", **report.to_dict()})
+    metrics.write_csv(args.sweep_out or "perturb_sweep.csv",
+                      ("param",) + metrics.SCORES, rows)
     return 0
 
 
@@ -255,6 +248,8 @@ def cmd_gradcheck(args, parser):
     n = args.nodes
     if n < 1:  # the random graph below is drawn before the model checks sizes
         raise ConfigError(f"--nodes must be >= 1, got {n}")
+    if not (np.isfinite(args.tol) and args.tol > 0):  # else every check FAILs
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol:g}")
     rng = np.random.default_rng(args.seed)
     adj = (rng.random((n, n)) < 0.5).astype(float)
     adj = np.triu(adj, 1)
@@ -282,12 +277,31 @@ def cmd_gradcheck(args, parser):
     return 0 if report.passed else 1
 
 
+def _check_output_paths(args):
+    """Fail before any work, not after it, on an output path that cannot
+    be written: its directory must exist and it must not be a directory."""
+    for name in ("metrics_out", "history_out", "out", "predictions_out",
+                 "sweep_out"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        target = Path(path)  # an empty path is the working directory
+        if target.is_dir():
+            problem = "is a directory"
+        elif not target.parent.is_dir():
+            problem = f"is in a missing directory {target.parent}"
+        else:
+            continue
+        raise ConfigError(f"--{name.replace('_', '-')} {path!r} {problem}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "predict": cmd_predict,
                 "perturb": cmd_perturb, "gradcheck": cmd_gradcheck}
     try:
+        _check_output_paths(args)
         return handlers[args.command](args, parser)
     except TgcnError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

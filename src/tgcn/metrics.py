@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 
+SCORES = ("rmse", "mae", "accuracy", "r2", "var")  # the paper's five
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -20,17 +22,26 @@ class MetricsReport:
     r2: float | None
     var: float | None
     n_points: int
-    undefined: tuple = ()
+
+    @property
+    def undefined(self):
+        """The scores that degenerate truth left unreportable."""
+        return tuple(k for k in SCORES if getattr(self, k) is None)
 
     def to_dict(self):
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "accuracy": self.accuracy,
-            "r2": self.r2,
-            "var": self.var,
-            "n_points": self.n_points,
-        }
+        return {k: getattr(self, k) for k in SCORES + ("n_points",)}
+
+
+def write_csv(path, columns, rows):
+    """A header of `columns`, then row[col] for each row: None as a blank
+    cell, a str as is, anything else by repr."""
+    def cell(v):
+        return "" if v is None else v if isinstance(v, str) else repr(v)
+
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(row[col]) for col in columns) + "\n")
 
 
 def compute_metrics(truth, pred):
@@ -48,11 +59,9 @@ def compute_metrics(truth, pred):
     rmse = float(np.sqrt(np.mean(resid ** 2)))
     mae = float(np.mean(np.abs(resid)))
 
-    undefined = []
     truth_norm = float(np.linalg.norm(t))
     if truth_norm == 0.0:
         accuracy = None
-        undefined.append("accuracy")
     else:
         accuracy = 1.0 - float(np.linalg.norm(resid)) / truth_norm
 
@@ -60,7 +69,6 @@ def compute_metrics(truth, pred):
     truth_var = float(np.var(t))
     if truth_var == 0.0:
         r2 = var = None
-        undefined += ["r2", "var"]
     else:
         ss_res = float(np.sum(resid ** 2))
         ss_tot = float(np.sum((t - t.mean()) ** 2))
@@ -68,4 +76,4 @@ def compute_metrics(truth, pred):
         var = 1.0 - float(np.var(resid)) / truth_var
 
     return MetricsReport(rmse=rmse, mae=mae, accuracy=accuracy, r2=r2,
-                         var=var, n_points=t.size, undefined=tuple(undefined))
+                         var=var, n_points=t.size)

@@ -13,9 +13,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import denormalize
 from .errors import ConfigError, DataError, ShapeError, TrainingDiverged
-from .metrics import MetricsReport, compute_metrics
+from .metrics import SCORES, compute_metrics, write_csv
 
-HISTORY_COLUMNS = ("epoch", "train_loss", "rmse", "mae", "accuracy", "r2", "var")
+HISTORY_COLUMNS = ("epoch", "train_loss") + SCORES
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator
 
 
@@ -137,11 +137,12 @@ def evaluate_predictions(model, window_set, dataset):
 
 @dataclass
 class TrainResult:
+    """One history row per epoch, its scores None on unevaluated epochs;
+    the best RMSE is history[best_epoch - 1]["rmse"], the final scores are
+    in history[-1]."""
     history: list
     best_params: dict
-    best_rmse: float
     best_epoch: int
-    final_metrics: MetricsReport | None = None
 
 
 def _snapshot(params):
@@ -178,7 +179,6 @@ def train(model, train_windows, test_windows, dataset, config):
     best_rmse = np.inf
     best_params = _snapshot(params)
     best_epoch = 0
-    final_metrics = None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_windows)
@@ -208,39 +208,22 @@ def train(model, train_windows, test_windows, dataset, config):
                 raise TrainingDiverged(f"{where}: {exc}") from exc
             epoch_loss += lval
             n_batches += 1
-        mean_loss = epoch_loss / n_batches
+        row = {"epoch": epoch, "train_loss": epoch_loss / n_batches,
+               **dict.fromkeys(SCORES)}
+        history.append(row)
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             report = evaluate(model, test_windows, dataset)
-            history.append({
-                "epoch": epoch, "train_loss": mean_loss,
-                "rmse": report.rmse, "mae": report.mae,
-                "accuracy": report.accuracy, "r2": report.r2,
-                "var": report.var,
-            })
+            row.update((k, getattr(report, k)) for k in SCORES)
             if report.rmse < best_rmse:
                 best_rmse = report.rmse
                 best_params = _snapshot(params)
                 best_epoch = epoch
-            if epoch == config.epochs:
-                final_metrics = report
-        else:
-            history.append({"epoch": epoch, "train_loss": mean_loss,
-                            "rmse": None, "mae": None, "accuracy": None,
-                            "r2": None, "var": None})
 
     return TrainResult(history=history, best_params=best_params,
-                       best_rmse=best_rmse, best_epoch=best_epoch,
-                       final_metrics=final_metrics)
+                       best_epoch=best_epoch)
 
 
 def write_history(path, history):
-    """History CSV: epoch, train_loss, rmse, mae, accuracy, r2, var."""
-    with open(path, "w") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in history:
-            cells = []
-            for col in HISTORY_COLUMNS:
-                v = row[col]
-                cells.append("" if v is None else repr(v))
-            fh.write(",".join(cells) + "\n")
+    """History CSV: one row per epoch under HISTORY_COLUMNS."""
+    write_csv(path, HISTORY_COLUMNS, history)

@@ -233,6 +233,8 @@ def test_perturb_sweep(tmp_path, ring_files):
     lines = sweep.read_text().strip().split("\n")
     assert lines[0] == "param,rmse,mae,accuracy,r2,var"
     assert len(lines) == 6  # five sigma settings
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "0.2", "0.4", "0.8", "1", "2"]
     for sigma in ("0.2", "0.4", "0.8", "1", "2"):
         assert (tmp_path / f"metrics_gaussian_{sigma}.json").exists()
 
@@ -295,6 +297,8 @@ def test_bad_size_flag_config_error(ring_files, capsys, flag, value):
     ("train", "--eval-every", "0"), ("train", "--lambda", "nan"),
     ("train", "--clip", "nan"), ("train", "--lr", "nan"),
     ("train", "--lr", "inf"), ("gradcheck", "--nodes", "-1"),
+    ("gradcheck", "--tol", "nan"), ("gradcheck", "--tol", "0"),
+    ("gradcheck", "--tol", "-1"),
 ])
 def test_bad_training_flag_config_error(tmp_path, ring_files, capsys,
                                         command, flag, value):
@@ -371,6 +375,79 @@ def test_eval_malformed_checkpoint_header_clean_error(tmp_path, ring_files):
     err = json.loads(proc.stderr.strip())
     assert err["error"] == "CheckpointError"
     assert "'kind'" in err["message"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--metrics-out"), ("train", "--history-out"),
+    ("train", "--out"), ("eval", "--predictions-out"),
+    ("predict", "--predictions-out"), ("perturb", "--sweep-out"),
+])
+def test_output_path_in_missing_directory_fails_first(
+        tmp_path, ring_files, capsys, monkeypatch, command, flag):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran before the output path check")
+
+    monkeypatch.setattr(training, "train", no_training)
+    adj, feat = ring_files
+    bad = str(tmp_path / "nodir" / "x")
+    extra = {"train": [], "perturb": ["--dist", "gaussian", "--sweep"],
+             "eval": ["--checkpoint", str(tmp_path / "model.ckpt")],
+             "predict": ["--checkpoint", str(tmp_path / "model.ckpt")]}
+    rc = run([command, "--adj", adj, "--features", feat, "--model", "tgcn",
+              "--seq-len", "4", *extra[command], flag, bad])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip())
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"] and bad in err["message"]
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command,flag,path", [
+    ("train", "--metrics-out", None), ("predict", "--predictions-out", ""),
+])
+def test_output_path_that_is_a_directory_fails(tmp_path, ring_files, capsys,
+                                               command, flag, path):
+    _, feat = ring_files
+    path = str(tmp_path) if path is None else path  # "" is the working dir
+    extra = (["--checkpoint", str(tmp_path / "model.ckpt")]
+             if command == "predict" else [])
+    rc = run([command, "--features", feat, "--model", "ha", "--seq-len", "4",
+              *extra, flag, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"{flag} {path!r} is a directory" == err["message"]
+
+
+def test_constant_test_split_leaves_r2_and_var_undefined(tmp_path):
+    # the series varies before the split and is constant after it, so the
+    # test truth has zero variance: R2 and explained variance are undefined
+    rng = np.random.default_rng(42)
+    series = np.vstack([rng.uniform(10.0, 60.0, (40, 3)),
+                        np.full((10, 3), 30.0)])
+    feat = write_csv(tmp_path / "speed.csv", series)
+    adj = write_csv(tmp_path / "adj.csv", np.ones((3, 3)) - np.eye(3))
+    metrics = tmp_path / "metrics.json"
+    history = tmp_path / "history.csv"
+    rc = run(["train", "--adj", adj, "--features", feat, "--model", "gcn",
+              "--seq-len", "2", "--hidden", "4", "--epochs", "2",
+              "--eval-every", "1", "--metrics-out", str(metrics),
+              "--history-out", str(history)])
+    assert rc == 0
+    payload = read_json(metrics)
+    assert payload["r2"] is None and payload["var"] is None
+    assert payload["undefined"] == ["r2", "var"]
+    assert payload["rmse"] is not None and payload["accuracy"] is not None
+    lines = history.read_text().strip().split("\n")
+    assert lines[0] == "epoch,train_loss,rmse,mae,accuracy,r2,var"
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[2] and cells[4]  # rmse and accuracy are scored
+        assert cells[5:] == ["", ""]
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])

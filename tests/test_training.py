@@ -172,9 +172,10 @@ def test_train_history_and_best_tracking():
     assert len(result.history) == 10
     evaluated = [r for r in result.history if r["rmse"] is not None]
     assert [r["epoch"] for r in evaluated] == [5, 10]
-    assert result.best_rmse == min(r["rmse"] for r in evaluated)
     assert result.best_epoch in (5, 10)
-    assert result.final_metrics is not None
+    best_rmse = result.history[result.best_epoch - 1]["rmse"]
+    assert best_rmse == min(r["rmse"] for r in evaluated)
+    assert result.history[-1]["rmse"] is not None  # the final evaluation
 
 
 def test_train_deterministic_history():
