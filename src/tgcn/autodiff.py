@@ -7,10 +7,16 @@ inputs. ``backward`` replays those closures in reverse topological order.
 Broadcasting is deliberately restricted: the only implicit broadcast is a
 (1, d) row vector added to an (m, d) matrix (bias over rows). Everything else
 must shape-match exactly so mistakes fail loudly.
+
+While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
+with large results (``matmul``, ``graph_propagate``, ``relu`` and
+``gru_unroll``) draw their outputs, backward results and scratch from it
+instead of allocating them, so a training loop's steps share memory.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,30 +30,83 @@ from .errors import ContractError, ShapeError
 ROW_BLOCK = 512
 
 
-class _GradMode(threading.local):
+class _ThreadState(threading.local):
     # per thread, so that no_grad on an evaluation worker cannot switch
-    # recording off (or leave it off) for the thread that trains
+    # recording off (or leave it off) for the thread that trains, and a
+    # pool bound by the training thread serves no other thread
     enabled = True
+    pool = None
 
 
-_grad_mode = _GradMode()
+_local = _ThreadState()
 
 
 def is_grad_enabled():
     """Whether primitives called on this thread record the graph."""
-    return _grad_mode.enabled
+    return _local.enabled
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording on this thread inside the block (inference /
     evaluation)."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    prev = _local.enabled
+    _local.enabled = False
     try:
         yield
     finally:
-        _grad_mode.enabled = prev
+        _local.enabled = prev
+
+
+def _refcounts(bufs):
+    return [sys.getrefcount(buf) for buf in bufs]
+
+
+# the count _refcounts reports for an array that only its list holds
+_UNHELD = _refcounts([np.empty(0)])[0]
+
+
+class BufferPool:
+    """Arrays reused by shape and dtype across training steps.
+
+    ``empty`` hands out a kept array again only when nothing but the pool
+    holds it: a live tape node, gradient or view (which holds its base)
+    keeps the array out of reach, so no caller has to say when a buffer is
+    free. A handed-out array holds whatever was last written to it.
+    """
+
+    def __init__(self):
+        self._kept = {}  # (shape, dtype) -> arrays
+
+    def empty(self, shape, dtype=np.float64):
+        key = (tuple(shape), np.dtype(dtype))
+        bufs = self._kept.setdefault(key, [])
+        for buf, refs in zip(bufs, _refcounts(bufs)):
+            if refs == _UNHELD:
+                return buf
+        bufs.append(np.empty(*key))
+        return bufs[-1]
+
+    def __len__(self):
+        """The number of arrays kept, held or not."""
+        return sum(map(len, self._kept.values()))
+
+
+@contextmanager
+def reusing(pool):
+    """Draw the large arrays of the primitives called on this thread inside
+    the block from ``pool`` (a training step)."""
+    prev = _local.pool
+    _local.pool = pool
+    try:
+        yield
+    finally:
+        _local.pool = prev
+
+
+def _empty(shape, dtype=np.float64):
+    pool = _local.pool
+    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
 
 
 class Tensor:
@@ -225,11 +284,14 @@ def matmul(a, b):
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T, fresh=True)
+            a._accumulate(np.matmul(g, b.data.T, out=_empty(a.shape)),
+                          fresh=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g, fresh=True)
+            b._accumulate(np.matmul(a.data.T, g, out=_empty(b.shape)),
+                          fresh=True)
 
-    return Tensor._make(a.data @ b.data, (a, b), bwd)
+    out = _empty((a.shape[0], b.shape[1]))
+    return Tensor._make(np.matmul(a.data, b.data, out=out), (a, b), bwd)
 
 
 def graph_propagate(prop, x):
@@ -245,10 +307,13 @@ def graph_propagate(prop, x):
     if x.data.ndim != 2 or x.shape[0] % n:
         raise ShapeError(f"graph_propagate: x has shape {x.shape}, expected "
                          f"a multiple of {n} rows")
-    out = (prop @ x.data.reshape(n, -1)).reshape(x.shape)
+    out = _empty(x.shape)
+    np.matmul(prop, x.data.reshape(n, -1), out=out.reshape(n, -1))
 
     def bwd(g, x=x, prop=prop):
-        x._accumulate((prop.T @ g.reshape(n, -1)).reshape(x.shape), fresh=True)
+        dx = _empty(x.shape)
+        np.matmul(prop.T, g.reshape(n, -1), out=dx.reshape(n, -1))
+        x._accumulate(dx, fresh=True)
 
     return Tensor._make(out, (x,), bwd)
 
@@ -276,12 +341,13 @@ def tanh(x):
 def relu(x):
     # gradient at exactly 0 is defined as 0
     x = _lift(x)
-    mask = x.data > 0
+    mask = np.greater(x.data, 0, out=_empty(x.shape, bool))
 
     def bwd(g, x=x, mask=mask):
-        x._accumulate(g * mask, fresh=True)
+        x._accumulate(np.multiply(g, mask, out=_empty(x.shape)), fresh=True)
 
-    return Tensor._make(np.maximum(x.data, 0.0), (x,), bwd)
+    out = np.maximum(x.data, 0.0, out=_empty(x.shape))
+    return Tensor._make(out, (x,), bwd)
 
 
 def square(x):
@@ -365,14 +431,14 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
     blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
     rows = min(m, ROW_BLOCK)  # the tallest block
-    out = np.empty((m, k))
+    out = _empty((m, k))
     # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
     # recording, else one block's rows reused by every step
     kept = (n_steps, m) if record else (1, rows)
-    xh = np.empty(kept + (q + k,))
-    ur = np.empty(kept + (2 * k,))
-    c = np.empty(kept + (k,))
-    xrh = np.empty((rows, q + k))  # [feats_t | 1 | r∘h] when recording
+    xh = _empty(kept + (q + k,))
+    ur = _empty(kept + (2 * k,))
+    c = _empty(kept + (k,))
+    xrh = _empty((rows, q + k))  # [feats_t | 1 | r∘h] when recording
     xh[..., r] = 1.0
     xrh[:, r] = 1.0
     for s, e in blocks:
@@ -405,11 +471,11 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         t_ur, t_c = np.empty_like(g_ur), np.empty_like(g_c)
         dh0 = np.empty((m, k)) if h0.requires_grad else None
         # one set of block-sized buffers for the whole replay
-        dh_, gu_, dc_, drh_ = (np.empty((rows, k)) for _ in range(4))
-        dz_, dsig_ = np.empty((rows, 2 * k)), np.empty((rows, 2 * k))
+        dh_, gu_, dc_, drh_, du_ = (_empty((rows, k)) for _ in range(5))
+        dz_, dsig_ = _empty((rows, 2 * k)), _empty((rows, 2 * k))
         for s, e in blocks:
             b = e - s
-            dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
+            dh, gu, dc, drh, du = dh_[:b], gu_[:b], dc_[:b], drh_[:b], du_[:b]
             dz, dsig, xr = dz_[:b], dsig_[:b], xrh[:b]
             dh[...] = grad[s:e]
             for t in reversed(range(n_steps)):
@@ -424,8 +490,10 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                 np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
                 # the update and reset pre-activations side by side,
                 # through σ' = σ(1 − σ)
-                np.subtract(h, cand, out=dz[:, :k])
-                dz[:, :k] *= dh
+                # (h − c)∘dh on contiguous rows, not on dz's column slice
+                np.subtract(h, cand, out=du)
+                du *= dh
+                dz[:, :k] = du
                 np.multiply(drh, h, out=dz[:, k:])
                 np.subtract(1.0, z, out=dsig)
                 dsig *= z

@@ -148,12 +148,23 @@ def write_metrics_json(path, report, args, perturbation=None):
     return payload
 
 
+def _build_model(args, n_nodes, propagation):
+    """A fresh --model of the flags' sizes, its parameters zero."""
+    try:
+        return models.SequenceModel(args.model, n_nodes, args.hidden,
+                                    args.seq_len, args.horizon_steps,
+                                    propagation=propagation)
+    except (MemoryError, ValueError) as exc:  # numpy refused the allocation
+        raise ConfigError(
+            f"sizes n_nodes={n_nodes}, --hidden {args.hidden}, --seq-len "
+            f"{args.seq_len}, --horizon-steps {args.horizon_steps} are too "
+            f"large to build ({exc})") from None
+
+
 def _train_once(args, parser):
     network, dataset, train_ws, test_ws, perturbation = _prepare(args, parser)
-    model = models.SequenceModel(
-        args.model, dataset.n_nodes, args.hidden, args.seq_len,
-        args.horizon_steps,
-        propagation=network.propagation if network else None)
+    model = _build_model(args, dataset.n_nodes,
+                         network.propagation if network else None)
     history, best = [], {}
     if model.parameters():  # the historical average learns nothing
         model.init_parameters(args.seed)
@@ -255,8 +266,7 @@ def cmd_gradcheck(args, parser):
     adj = np.triu(adj, 1)
     adj = adj + adj.T
     prop = graph.build_propagation(adj)
-    model = models.SequenceModel(args.model, n, args.hidden, args.seq_len,
-                                 args.horizon_steps, propagation=prop)
+    model = _build_model(args, n, prop)
     model.init_parameters(args.seed)
     window = rng.random((args.seq_len, n))
     target = rng.random((n, args.horizon_steps))
@@ -301,6 +311,8 @@ def main(argv=None):
     handlers = {"train": cmd_train, "eval": cmd_eval, "predict": cmd_predict,
                 "perturb": cmd_perturb, "gradcheck": cmd_gradcheck}
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         _check_output_paths(args)
         return handlers[args.command](args, parser)
     except TgcnError as exc:

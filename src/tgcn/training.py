@@ -161,6 +161,11 @@ def train(model, train_windows, test_windows, dataset, config):
     final epoch), tracking the parameter snapshot with the best test RMSE.
     A non-finite loss or gradient raises TrainingDiverged naming the epoch
     and the batch within it, both counted from 1.
+
+    Each step's forward, loss and backward draw their large arrays from a
+    `BufferPool` that keeps one batch size's buffers: a step of another size
+    (the short last batch) starts a new pool, and the pool is dropped
+    before each evaluation, which allocates as `predict` always does.
     """
     n_windows = len(train_windows)
     if n_windows == 0:
@@ -179,6 +184,7 @@ def train(model, train_windows, test_windows, dataset, config):
     best_rmse = np.inf
     best_params = _snapshot(params)
     best_epoch = 0
+    pool, pool_batch = None, 0
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_windows)
@@ -191,15 +197,19 @@ def train(model, train_windows, test_windows, dataset, config):
             batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
             batch_tg = batch_tg.reshape(-1, model.horizon)
             where = f"epoch {epoch}, batch {n_batches + 1}"
+            if pool is None or len(idx) != pool_batch:
+                pool, pool_batch = ad.BufferPool(), len(idx)
             opt.zero_grad()
-            pred = model.forward(batch_in)
-            batch_loss = loss(pred, batch_tg, weights, config.weight_decay)
-            lval = float(batch_loss.data)
-            if not np.isfinite(lval):
-                raise TrainingDiverged(f"non-finite loss at {where}")
-            batch_loss.backward()
+            with ad.reusing(pool):
+                pred = model.forward(batch_in)
+                batch_loss = loss(pred, batch_tg, weights, config.weight_decay)
+                lval = float(batch_loss.data)
+                if not np.isfinite(lval):
+                    raise TrainingDiverged(f"non-finite loss at {where}")
+                batch_loss.backward()
             # free this step's tape now, not when the next forward rebinds
-            # the names, so that two tapes are never alive at once
+            # the names, so that two tapes are never alive at once and the
+            # next step finds the pool's buffers free
             del pred, batch_loss
             clip_gradients(params, config.clip)
             try:
@@ -213,6 +223,7 @@ def train(model, train_windows, test_windows, dataset, config):
         history.append(row)
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
+            pool = None  # evaluation's peak leaves out the step's buffers
             report = evaluate(model, test_windows, dataset)
             row.update((k, getattr(report, k)) for k in SCORES)
             if report.rmse < best_rmse:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tgcn import autodiff as ad
+
 
 def ring_adjacency(n=10):
     adj = np.zeros((n, n))
@@ -22,6 +24,20 @@ def ring_series(n=10, timesteps=240, noise=0.02, seed=123):
         x = 0.5 * (np.roll(x, 1) + np.roll(x, -1)) + noise * rng.standard_normal(n)
         out.append(x.copy())
     return np.array(out)
+
+
+class PoisonPool(ad.BufferPool):
+    """Never reuses: every array is new and starts as NaN (True if bool),
+    so a pooled buffer read before it is written shows in the results."""
+
+    def __init__(self):
+        super().__init__()
+        self.drawn = 0
+
+    def empty(self, shape, dtype=np.float64):
+        self.drawn += 1
+        return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 1,
+                       dtype)
 
 
 def write_csv(path, matrix):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import PoisonPool
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ContractError, ShapeError
@@ -406,3 +407,72 @@ def test_gru_step_shape_error_names_shapes():
         ad.gru_unroll(feats[0], *xs)
     with pytest.raises(ShapeError, match=r"gru_unroll: .*feats \(0, 4, 2\)"):
         ad.gru_unroll(feats[:0], *xs)
+
+
+# -- buffer pool ---------------------------------------------------------------
+
+def test_buffer_pool_never_hands_out_a_held_array_or_view():
+    pool = ad.BufferPool()
+    a = pool.empty((3, 4))
+    b = pool.empty((3, 4))
+    assert not np.shares_memory(a, b) and len(pool) == 2
+    view = a[1:, ::2]
+    del a
+    c = pool.empty((3, 4))  # the view still holds a's memory
+    assert not np.shares_memory(c, view) and not np.shares_memory(c, b)
+    assert len(pool) == 3
+    del view, c
+    d = pool.empty((3, 4))  # a and c are free again: one is reused
+    assert len(pool) == 3 and not np.shares_memory(d, b)
+
+
+def test_buffer_pool_keys_by_shape_and_dtype():
+    pool = ad.BufferPool()
+    first = pool.empty((3, 4))
+    first_id = id(first)
+    del first
+    others = [pool.empty((4, 3)), pool.empty((12,)),
+              pool.empty((3, 4), bool)]
+    assert len(pool) == 4
+    assert others[2].dtype == bool and others[1].shape == (12,)
+    assert id(pool.empty([3, 4], "f8")) == first_id
+    assert len(pool) == 4
+
+
+def _primitive_chain(feats, xs, head, prop):
+    """gru_unroll, matmul, graph_propagate and relu, forward and backward;
+    returns the outputs and the inputs' gradients."""
+    for x in xs + [head]:
+        x.zero_grad()
+    h = ad.gru_unroll(feats, *xs)
+    y = ad.relu(ad.graph_propagate(prop, h @ head))
+    ad.tensor_sum(ad.square(y)).backward()
+    return [h.data, y.data] + [x.grad for x in xs + [head]]
+
+
+def test_primitives_draw_from_the_bound_pool_only(monkeypatch):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(32)
+    n = 3
+    feats, xs = unroll_inputs(rng, 3, 3 * n, 2, 3, 2)  # 3 row blocks
+    head = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    prop = rng.standard_normal((n, n))
+    args = (feats, xs, head, prop)
+    pool = PoisonPool()
+    free = _primitive_chain(*args)  # no pool bound
+    assert pool.drawn == 0
+    with ad.reusing(pool):
+        # another thread allocates as if no pool were bound
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(_primitive_chain(*args)))
+        thread.start()
+        thread.join(timeout=10)
+        assert pool.drawn == 0
+        pooled = _primitive_chain(*args)
+    assert pool.drawn > 0
+    for want, a, b in zip(free, pooled, other[0]):
+        assert np.array_equal(a, want) and np.array_equal(b, want)
+    before = pool.drawn
+    _primitive_chain(*args)  # the binding ended with the block
+    assert pool.drawn == before

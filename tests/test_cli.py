@@ -298,7 +298,8 @@ def test_bad_size_flag_config_error(ring_files, capsys, flag, value):
     ("train", "--clip", "nan"), ("train", "--lr", "nan"),
     ("train", "--lr", "inf"), ("gradcheck", "--nodes", "-1"),
     ("gradcheck", "--tol", "nan"), ("gradcheck", "--tol", "0"),
-    ("gradcheck", "--tol", "-1"),
+    ("gradcheck", "--tol", "-1"), ("train", "--seed", "-1"),
+    ("gradcheck", "--seed", "-3"),
 ])
 def test_bad_training_flag_config_error(tmp_path, ring_files, capsys,
                                         command, flag, value):
@@ -314,6 +315,25 @@ def test_bad_training_flag_config_error(tmp_path, ring_files, capsys,
     err = json.loads(err.strip())
     assert err["error"] == "ConfigError"
     assert f"got {value}" in err["message"]
+    assert not list(tmp_path.glob("model.ckpt*"))
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_huge_hidden_config_error(tmp_path, ring_files, capsys, command):
+    # numpy refuses the (2·hidden, hidden) gate weights outright
+    adj, feat = ring_files
+    ckpt = tmp_path / "model.ckpt"
+    argv = (["gradcheck"] if command == "gradcheck" else
+            ["train", "--adj", adj, "--features", feat, *FAST,
+             "--out", str(ckpt)])
+    rc = run(argv + ["--hidden", "1000000000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip())
+    assert err["error"] == "ConfigError"
+    assert "--hidden 1000000000" in err["message"]
+    assert "too large to build" in err["message"]
     assert not list(tmp_path.glob("model.ckpt*"))
 
 

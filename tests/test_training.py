@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ring_adjacency, ring_series
+from conftest import PoisonPool, ring_adjacency, ring_series
 from tgcn import autodiff as ad
 from tgcn import data, training
 from tgcn.autodiff import Tensor, gradcheck
@@ -347,3 +347,80 @@ def test_write_history(tmp_path):
     assert lines[0] == "epoch,train_loss,rmse,mae,accuracy,r2,var"
     assert lines[1].startswith("1,0.5,,")
     assert len(lines) == 3
+
+
+# -- step buffer pool ---------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
+@pytest.mark.parametrize("batch,n_pools", [(15, 2), (16, 6)])
+def test_train_pool_stops_growing_after_first_step(monkeypatch, kind, batch,
+                                                   n_pools):
+    # 45 training windows: batch 15 runs 3 steps an epoch, and its pool
+    # lives until the evaluation after epoch 2; batch 16 runs 2 full steps
+    # and a short one, which starts a pool of its own
+    prop, ds, train_ws, test_ws = ring_setup()
+    train_ws = data.WindowSet(train_ws.inputs[:45], train_ws.targets[:45])
+    model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(8)
+    pools, sizes, in_eval, drawn_in_eval = [], [], [], []
+
+    class WatchedPool(ad.BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+        def empty(self, shape, dtype=np.float64):
+            drawn_in_eval.extend(in_eval)
+            return super().empty(shape, dtype)
+
+    def step_end(params, max_norm):  # after backward, outside the binding
+        sizes.append((len(pools), len(pools[-1])))
+        clip_gradients(params, max_norm)
+
+    def watched_evaluate(*args):
+        in_eval.append(True)
+        try:
+            return evaluate(*args)
+        finally:
+            in_eval.clear()
+
+    monkeypatch.setattr(ad, "BufferPool", WatchedPool)
+    monkeypatch.setattr(training, "clip_gradients", step_end)
+    monkeypatch.setattr(training, "evaluate", watched_evaluate)
+    config = TrainConfig(lr=0.01, batch_size=batch, epochs=3, seed=8,
+                         eval_every=2)
+    train(model, train_ws, test_ws, ds, config)
+    assert len(sizes) == 9 and len(pools) == n_pools
+    assert drawn_in_eval == []
+    for i in range(1, n_pools + 1):
+        counts = [count for pool, count in sizes if pool == i]
+        assert counts and counts[0] > 0
+        assert counts == counts[:1] * len(counts)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
+def test_train_with_pool_matches_never_reusing_pool(monkeypatch, kind):
+    # batch 16 on 10 nodes is 160 rows, and the short last batch 120, so a
+    # 48-row block leaves several blocks and a short one in each
+    monkeypatch.setattr(ad, "ROW_BLOCK", 48)
+
+    def run():
+        prop, ds, train_ws, test_ws = ring_setup()
+        model = SequenceModel(kind, 10, 6, 4, 1, propagation=prop)
+        model.init_parameters(9)
+        config = TrainConfig(lr=0.01, batch_size=16, epochs=4, seed=9,
+                             weight_decay=1e-3, eval_every=2)
+        result = train(model, train_ws, test_ws, ds, config)
+        final = {k: p.data.copy() for k, p in model.parameters().items()}
+        return result, final
+
+    reused, reused_final = run()
+    monkeypatch.setattr(ad, "BufferPool", PoisonPool)
+    fresh, fresh_final = run()
+    assert reused.history == fresh.history
+    assert reused.best_epoch == fresh.best_epoch
+    for got, want in ((reused.best_params, fresh.best_params),
+                      (reused_final, fresh_final)):
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
