@@ -9,9 +9,9 @@ Broadcasting is deliberately restricted: the only implicit broadcast is a
 must shape-match exactly so mistakes fail loudly.
 
 While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
-with large results (``matmul``, ``graph_propagate``, ``relu`` and
-``gru_unroll``) draw their outputs, backward results and scratch from it
-instead of allocating them, so a training loop's steps share memory.
+with large results (``matmul``, ``graph_propagate``, ``relu``, ``relu_mlp``
+and ``gru_unroll``) draw their outputs, backward results and scratch from
+it instead of allocating them, so a training loop's steps share memory.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# rows per block of gru_unroll: a block's step buffers stay about L2-sized
-# while it runs the whole window (256 to 512 rows measured alike)
+# rows per block of gru_unroll and relu_mlp: a block's buffers stay about
+# L2-sized (256 to 512 rows measured alike for gru_unroll; 512 fastest for
+# relu_mlp, against 256 and 1024)
 ROW_BLOCK = 512
 
 
@@ -344,10 +345,69 @@ def relu(x):
     mask = np.greater(x.data, 0, out=_empty(x.shape, bool))
 
     def bwd(g, x=x, mask=mask):
-        x._accumulate(np.multiply(g, mask, out=_empty(x.shape)), fresh=True)
+        # 0.0 where the mask is off, not g·0, which is −0.0 for a negative g
+        dx = _empty(x.shape)
+        dx.fill(0.0)
+        np.copyto(dx, g, where=mask)
+        x._accumulate(dx, fresh=True)
 
     out = np.maximum(x.data, 0.0, out=_empty(x.shape))
     return Tensor._make(out, (x,), bwd)
+
+
+def relu_mlp(x, w0, w1):
+    """relu(x·w0)·w1 for a constant (m, d) array x, as a single tape node.
+
+    The rows run in blocks of ROW_BLOCK, and the forward keeps nothing of
+    height m but the (m, o) result: a block's activation a = x·w0 lives in
+    one block-sized scratch. The backward recomputes it per block, adds
+    relu(a)ᵀ·g into dw1, and turns a in place into the 0/1 mask M of the
+    ReLU, 0 at the kink, so an entry of x·w0 that is exactly 0 passes no
+    gradient. Rather than form the (m, hidden) gradient M∘(g·w1ᵀ), it sums
+    over the output columns j
+
+        dw0 = Σ_j ((x∘g_j)ᵀ·M)∘w1[:, j]ᵀ
+
+    with the o products (x∘g_j)ᵀ·M as one GEMM on a (rows, o·d) scratch.
+    """
+    w0, w1 = _lift(w0), _lift(w1)
+    x = np.asarray(x, dtype=np.float64)
+    if (x.ndim != 2 or w0.data.ndim != 2 or w1.data.ndim != 2
+            or x.shape[1] != w0.shape[0] or w0.shape[1] != w1.shape[0]):
+        raise ShapeError(f"relu_mlp: incompatible shapes x {x.shape}, "
+                         f"w0 {w0.shape}, w1 {w1.shape}")
+    m, d = x.shape
+    hidden, o = w1.shape
+    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
+    rows = min(m, ROW_BLOCK)  # the tallest block
+    out = _empty((m, o))
+    act = _empty((rows, hidden))
+    for s, e in blocks:
+        a = np.matmul(x[s:e], w0.data, out=act[:e - s])
+        np.maximum(a, 0.0, out=a)
+        np.matmul(a, w1.data, out=out[s:e])
+
+    def bwd(g):
+        act, xg = _empty((rows, hidden)), _empty((rows, o * d))
+        dw1, t1 = np.zeros((hidden, o)), np.empty((hidden, o))
+        # Σ over blocks of (x∘g_j)ᵀ·M, the o products stacked as rows
+        gm, tm = np.zeros((o * d, hidden)), np.empty((o * d, hidden))
+        for s, e in blocks:
+            a = np.matmul(x[s:e], w0.data, out=act[:e - s])
+            np.maximum(a, 0.0, out=a)
+            dw1 += np.matmul(a.T, g[s:e], out=t1)
+            # M as 0.0/1.0; np.sign gives the same in ten times as long
+            np.greater(a, 0.0, out=a)
+            y = xg[:e - s]
+            np.multiply(g[s:e, :, None], x[s:e, None, :],
+                        out=y.reshape(e - s, o, d))
+            gm += np.matmul(y.T, a, out=tm)
+        dw0 = np.einsum("jdk,kj->dk", gm.reshape(o, d, hidden), w1.data)
+        for param, grad in ((w0, dw0), (w1, dw1)):
+            if param.requires_grad:
+                param._accumulate(grad, fresh=True)
+
+    return Tensor._make(out, (w0, w1), bwd)
 
 
 def square(x):

@@ -22,6 +22,8 @@ adds the bias. The cells multiply their last state by it. The GCN baseline
 is linear after its ReLU, so it folds proj_w into its last weight and
 propagates last: prop·(relu(prop·X·W0)·(W1·proj_w)), whose second
 propagation and W1 product run on horizon columns instead of hidden ones.
+Its hidden layer runs as one row-tiled `autodiff.relu_mlp`, which recomputes
+the activation in the backward instead of keeping it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 
 CHECKPOINT_MAGIC = b"TGCN"
 CHECKPOINT_VERSION = 1
@@ -61,7 +63,8 @@ class GcnEncoder:
     Everything after the ReLU is linear, so a head that follows folds into
     the last weight: (prop·H·W1)·head = prop·(H·(W1·head)). `forward` then
     runs the second propagation last, on head's few columns rather than
-    W1's hidden ones.
+    W1's hidden ones, and the hidden layer relu(prop·X·W0)·(W1·head) is one
+    `autodiff.relu_mlp` node, so no (rows, hidden) activation is kept.
     """
 
     def __init__(self, propagation, in_dim, gc_hidden, out_dim):
@@ -71,11 +74,15 @@ class GcnEncoder:
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
     def forward(self, x, head=None):
-        """prop·relu(prop·x·W0)·W1, times head when one is given."""
-        h = ad.relu(ad.graph_propagate(self.propagation, x) @ self.w0)
+        """prop·relu(prop·x·W0)·W1, times head when one is given. x is a
+        constant: it receives no gradient."""
+        if getattr(x, "requires_grad", False):
+            raise ContractError("GcnEncoder.forward: x requires grad, but "
+                                "the encoder's input gets no gradient")
+        y = ad.graph_propagate(self.propagation, x).data
         # recorded as a product, so autodiff gives w1 and head gradients
         w = self.w1 if head is None else self.w1 @ head
-        return ad.graph_propagate(self.propagation, h @ w)
+        return ad.graph_propagate(self.propagation, ad.relu_mlp(y, self.w0, w))
 
     def encode(self, windows, head):
         """GCN baseline: each node's seq_len past values are its features;

@@ -108,6 +108,14 @@ def test_relu_gradient_zero_at_kink():
     assert np.array_equal(x.grad, [[0.0]])
 
 
+def test_relu_gradient_is_positive_zero_where_off():
+    # a negative upstream gradient times an off mask is 0.0, not −0.0
+    x = Tensor([[-1.0, 2.0, 0.0]], requires_grad=True)
+    ad.tensor_sum(ad.scale(ad.relu(x), -3.0)).backward()
+    assert np.array_equal(x.grad, [[0.0, -3.0, 0.0]])
+    assert np.array_equal(np.signbit(x.grad), [[False, True, False]])
+
+
 def test_no_grad_blocks_recording():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.no_grad():
@@ -409,6 +417,96 @@ def test_gru_step_shape_error_names_shapes():
         ad.gru_unroll(feats[:0], *xs)
 
 
+# -- relu_mlp ------------------------------------------------------------------
+
+def relu_mlp_inputs(rng, m, d, hidden, o):
+    """x with an all-zero row and w0 with an all-zero column, so that x·w0
+    has entries that are exactly 0, and weights that require grad."""
+    x = rng.standard_normal((m, d))
+    x[m // 2] = 0.0
+    w0 = rng.standard_normal((d, hidden))
+    w0[:, 1] = 0.0
+    return (x, Tensor(w0, requires_grad=True),
+            Tensor(rng.standard_normal((hidden, o)), requires_grad=True))
+
+
+def _relu_mlp_and_grads(f, x, w0, w1, weight):
+    w0.zero_grad()
+    w1.zero_grad()
+    out = f(x, w0, w1)
+    ad.tensor_sum(out * weight).backward()
+    return out.data, w0.grad, w1.grad
+
+
+def composed_relu_mlp(x, w0, w1):
+    return ad.relu(Tensor(x) @ w0) @ w1
+
+
+@pytest.mark.parametrize("o", [1, 3])
+@pytest.mark.parametrize("block,m", [(ad.ROW_BLOCK, 7), (BLOCK, BLOCK),
+                                     (BLOCK, 2 * BLOCK + 3)])
+def test_relu_mlp_matches_composition(monkeypatch, o, block, m):
+    monkeypatch.setattr(ad, "ROW_BLOCK", block)
+    rng = np.random.default_rng(40 + m + o)
+    x, w0, w1 = relu_mlp_inputs(rng, m, 3, 5, o)
+    weight = Tensor(rng.standard_normal((m, o)))
+    want = _relu_mlp_and_grads(composed_relu_mlp, x, w0, w1, weight)
+    got = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1, weight)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12
+    with ad.no_grad():
+        free = ad.relu_mlp(x, w0, w1)
+    assert free._backward is None and np.array_equal(free.data, got[0])
+
+
+def test_relu_mlp_zero_activation_passes_no_gradient(monkeypatch):
+    # w0's zero column makes x·w0 exactly 0 in that column on every row:
+    # neither that column of w0 nor that row of w1 gets any gradient
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(41)
+    m = 2 * BLOCK + 3
+    x, w0, w1 = relu_mlp_inputs(rng, m, 3, 5, 2)
+    _, dw0, dw1 = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1,
+                                      Tensor(rng.standard_normal((m, 2))))
+    assert np.array_equal(dw0[:, 1], np.zeros(3))
+    assert np.array_equal(dw1[1], np.zeros(2))
+    assert np.all(np.delete(dw0, 1, axis=1) != 0.0)
+    w0.data[:] = 0.0
+    _, dw0, dw1 = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1,
+                                      Tensor(np.ones((m, 2))))
+    assert np.array_equal(dw0, np.zeros_like(dw0))
+    assert np.array_equal(dw1, np.zeros_like(dw1))
+
+
+def test_relu_mlp_gradcheck_across_row_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(42)
+    m = 2 * BLOCK + 3
+    x = rng.standard_normal((m, 3))
+    w0 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w1 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((m, 2)))
+
+    def f(ws):
+        return ad.tensor_sum(ad.relu_mlp(x, *ws) * weight)
+
+    report = gradcheck(f, [w0, w1], tol=1e-7)
+    assert report.passed, report.per_input
+
+
+def test_relu_mlp_shape_error_names_shapes():
+    x = np.zeros((4, 3))
+    w0, w1 = Tensor(np.zeros((3, 5))), Tensor(np.zeros((5, 2)))
+    names = r"relu_mlp: .*x \(4, 2\), w0 \(3, 5\), w1 \(5, 2\)"
+    with pytest.raises(ShapeError, match=names):
+        ad.relu_mlp(x[:, :2], w0, w1)
+    with pytest.raises(ShapeError, match=r"relu_mlp: .*w1 \(4, 2\)"):
+        ad.relu_mlp(x, w0, Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeError, match=r"relu_mlp: .*x \(4,\)"):
+        ad.relu_mlp(x[:, 0], w0, w1)
+
+
 # -- buffer pool ---------------------------------------------------------------
 
 def test_buffer_pool_never_hands_out_a_held_array_or_view():
@@ -439,15 +537,16 @@ def test_buffer_pool_keys_by_shape_and_dtype():
     assert len(pool) == 4
 
 
-def _primitive_chain(feats, xs, head, prop):
-    """gru_unroll, matmul, graph_propagate and relu, forward and backward;
-    returns the outputs and the inputs' gradients."""
-    for x in xs + [head]:
+def _primitive_chain(feats, xs, head, prop, w1):
+    """gru_unroll, matmul, graph_propagate, relu and relu_mlp, forward and
+    backward; returns the outputs and the inputs' gradients."""
+    for x in xs + [head, w1]:
         x.zero_grad()
     h = ad.gru_unroll(feats, *xs)
     y = ad.relu(ad.graph_propagate(prop, h @ head))
-    ad.tensor_sum(ad.square(y)).backward()
-    return [h.data, y.data] + [x.grad for x in xs + [head]]
+    z = ad.relu_mlp(h.data, head, w1)
+    ad.tensor_sum(ad.square(y) + ad.square(z)).backward()
+    return [h.data, y.data, z.data] + [x.grad for x in xs + [head, w1]]
 
 
 def test_primitives_draw_from_the_bound_pool_only(monkeypatch):
@@ -457,7 +556,8 @@ def test_primitives_draw_from_the_bound_pool_only(monkeypatch):
     feats, xs = unroll_inputs(rng, 3, 3 * n, 2, 3, 2)  # 3 row blocks
     head = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     prop = rng.standard_normal((n, n))
-    args = (feats, xs, head, prop)
+    w1 = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    args = (feats, xs, head, prop, w1)
     pool = PoisonPool()
     free = _primitive_chain(*args)  # no pool bound
     assert pool.drawn == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
-from tgcn.errors import CheckpointError, ConfigError, ShapeError
+from tgcn.errors import CheckpointError, ConfigError, ContractError, ShapeError
 from tgcn.graph import build_propagation
 from tgcn.models import (GATE_PARAMS, GcnEncoder, GruCell, SequenceModel,
                          TgcnCell, ha_predict, load_checkpoint,
@@ -102,6 +102,14 @@ def test_gcn_forward_shape_error():
     enc = GcnEncoder(np.eye(3), 1, 2, 2)
     with pytest.raises(ShapeError):
         enc.forward(Tensor(np.zeros((4, 1))))
+
+
+def test_gcn_forward_refuses_an_input_that_requires_grad():
+    # the input is a constant of the hidden layer: a gradient asked of it
+    # would be dropped without a word
+    enc = GcnEncoder(np.eye(3), 1, 2, 2)
+    with pytest.raises(ContractError, match="requires grad"):
+        enc.forward(Tensor(np.zeros((3, 1)), requires_grad=True))
 
 
 # -- cell steps --------------------------------------------------------------
@@ -419,6 +427,18 @@ def unfolded_gcn_forward(model, windows):
 def test_gcn_folded_head_equals_unfolded(horizon):
     # W1·proj_w is one recorded product, so w1 and proj_w must each get the
     # gradient the unfolded chain gives them
+    check_folded_head_equals_unfolded(horizon)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_gcn_folded_head_equals_unfolded_across_row_blocks(monkeypatch,
+                                                           horizon):
+    # 6 to 18 rows in blocks of 4, so most instances end on a short block
+    monkeypatch.setattr(ad, "ROW_BLOCK", 4)
+    check_folded_head_equals_unfolded(horizon)
+
+
+def check_folded_head_equals_unfolded(horizon):
     rng = np.random.default_rng(33 + horizon)
     for _ in range(20):
         model, windows = _kinked_instance(rng, "gcn", horizon)
@@ -475,6 +495,28 @@ def test_relu_gradient_zero_at_kink_in_lift():
     w0.zero_grad()
     ad.tensor_mean(ad.square(model.forward(windows) - target)).backward()
     assert np.array_equal(w0.grad, np.zeros_like(w0.data))
+
+
+def test_gcn_predict_memory_below_one_hidden_activation():
+    # the GCN baseline's hidden layer runs in row blocks, so inference never
+    # holds an (n·B, hidden) array, let alone the activation, its ReLU and a
+    # mask
+    n, batch, hidden, seq_len = 50, 40, 100, 4
+    rng = np.random.default_rng(37)
+    model = SequenceModel("gcn", n, hidden, seq_len, 1,
+                          propagation=random_graph(rng, n))
+    model.init_parameters(0)
+    windows = rng.random((batch, seq_len, n))
+    activation_bytes = n * batch * hidden * 8
+    assert n * batch > 3 * ad.ROW_BLOCK
+    model.predict(windows[:1])  # first-call allocations
+    tracemalloc.start()
+    try:
+        model.predict(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < activation_bytes, peak / activation_bytes
 
 
 def test_predict_memory_bounded_by_state_size():
