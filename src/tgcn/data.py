@@ -51,36 +51,32 @@ class WindowSet:
 
 def read_csv_matrix(path):
     """Read a headerless CSV of finite floats into a 2-D array. Blank lines
-    are skipped; every failure is a ParseError naming the path and, for a
-    bad cell, its file row and column."""
-    rows, linenos = [], []
+    are skipped and cells follow numpy's number grammar; every failure is a
+    ParseError naming the path and, for a bad cell, its file row and
+    column."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    row = list(map(float, cells))
-                except ValueError:
-                    bad = next(i for i, c in enumerate(cells)
-                               if not _is_float(c))
-                    raise ParseError(f"{path}: non-numeric cell at row "
-                                     f"{lineno}, column {bad + 1}") from None
-                if rows and len(row) != len(rows[0]):
-                    raise ParseError(f"{path}: row {lineno} has {len(row)} "
-                                     f"columns, expected {len(rows[0])}")
-                rows.append(row)
-                linenos.append(lineno)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from exc
+    if "\r" in text:  # universal newlines, as a text-mode file reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rows, linenos = [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip():  # loadtxt strips each cell as str.strip would
+            rows.append(line)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: empty file")
-    values = np.array(rows, dtype=np.float64)
+    try:
+        values = _parse(rows)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {_locate(rows, linenos, exc)}") from None
     finite = np.isfinite(values)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -89,12 +85,33 @@ def read_csv_matrix(path):
     return values
 
 
-def _is_float(s):
+def _parse(rows):
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _locate(rows, linenos, exc):
+    """What is wrong with the first bad row, in file terms: its first cell
+    that `_parse` refuses, or else a column count unlike the first row's."""
+    width = rows[0].count(",") + 1
+    for row, lineno in zip(rows, linenos):
+        cells = row.split(",")
+        if not _parses(row):
+            bad = next(i for i, c in enumerate(cells) if not _parses(c))
+            return f"non-numeric cell at row {lineno}, column {bad + 1}"
+        if len(cells) != width:
+            return f"row {lineno} has {len(cells)} columns, expected {width}"
+    return str(exc)  # no row is bad alone: numpy's own message
+
+
+def _parses(text):
+    # an empty cell is no number, though loadtxt reads "" as an empty line
+    if not text:
+        return False
     try:
-        float(s)
-        return True
+        _parse([text])
     except ValueError:
         return False
+    return True
 
 
 def load_features(path, expect_nodes=None, transpose=False):
@@ -112,18 +129,19 @@ def load_features(path, expect_nodes=None, transpose=False):
 def interpolate_missing(dataset, missing_marker=0.0):
     """Per node, linearly interpolate cells equal to missing_marker over time;
     leading/trailing gaps take the nearest valid value."""
-    values = dataset.values.copy()
-    t_idx = np.arange(values.shape[0], dtype=np.float64)
-    for node in range(values.shape[1]):
-        col = values[:, node]
-        valid = col != missing_marker
-        if not valid.any():
-            raise DataError(f"node {node} has no valid observations")
-        if valid.all():
-            continue
+    # node-major, so that each node's series is one contiguous row
+    series = np.array(dataset.values.T, order="C")
+    valid = series != missing_marker
+    counts = valid.sum(axis=1)
+    if not counts.all():
+        node = np.flatnonzero(counts == 0)[0]
+        raise DataError(f"node {node} has no valid observations")
+    t_idx = np.arange(series.shape[1], dtype=np.float64)
+    for node in np.flatnonzero(counts < series.shape[1]):
+        row, ok = series[node], valid[node]
         # np.interp clamps outside the valid range, giving the edge fill
-        values[:, node] = np.interp(t_idx, t_idx[valid], col[valid])
-    return replace(dataset, values=values)
+        series[node] = np.interp(t_idx, t_idx[ok], row[ok])
+    return replace(dataset, values=series.T)
 
 
 def normalize(dataset):

@@ -68,6 +68,40 @@ def test_interpolate_preserves_observed():
     assert np.array_equal(out.values[~mask], vals[~mask])
 
 
+def _interpolate_per_column(values, missing_marker=0.0):
+    """The per-column loop over a row-major copy that interpolate_missing
+    replaced."""
+    values = values.copy()
+    t_idx = np.arange(values.shape[0], dtype=np.float64)
+    for node in range(values.shape[1]):
+        col = values[:, node]
+        valid = col != missing_marker
+        if not valid.all():
+            values[:, node] = np.interp(t_idx, t_idx[valid], col[valid])
+    return values
+
+
+@pytest.mark.parametrize("layout", ["rows", "transposed"])
+def test_interpolate_bit_for_bit_with_per_column_loop(layout):
+    rng = np.random.default_rng(4)
+    vals = rng.uniform(1, 10, size=(50, 7))
+    vals[:3, 0] = 0.0              # leading gap
+    vals[-4:, 1] = 0.0             # trailing gap
+    vals[[10, 11, 12, 30], 2] = 0.0  # interior gaps
+    vals[:2, 3] = vals[20:22, 3] = vals[-1:, 3] = 0.0  # all three
+    vals[rng.random(50) < 0.5, 4] = 0.0  # scattered
+    vals[25, 5] = 0.0              # one missing cell; column 6 has no gap
+    if layout == "transposed":  # as load_features(..., transpose=True) gives
+        vals = np.ascontiguousarray(vals.T).T
+    before = vals.copy()
+    out = data.interpolate_missing(make_dataset(vals)).values
+    want = _interpolate_per_column(vals)
+    assert np.array_equal(vals, before)  # the input is not touched
+    assert out.shape == want.shape
+    assert out.tobytes(order="C") == want.tobytes(order="C")
+    assert np.array_equal(out[:, 6], vals[:, 6])
+
+
 def test_interpolate_all_missing_node():
     ds = make_dataset([[0.0, 1.0], [0.0, 2.0]])
     with pytest.raises(DataError, match="node 0"):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from tgcn.errors import ConfigError, ShapeError, TrainingDiverged
 from tgcn.graph import build_propagation
 from tgcn.models import SequenceModel
 from tgcn.training import (Adam, TrainConfig, clip_gradients, evaluate, loss,
-                           train, write_history)
+                           predict_windows, train, write_history)
 
 
 def make_params(values):
@@ -333,6 +334,104 @@ def test_recording_stays_on_after_concurrent_predict(monkeypatch):
         sys.setswitchinterval(interval)
     assert ad.is_grad_enabled()
     assert model.forward(test_ws.inputs[:1])._backward is not None
+
+
+# -- chunked evaluation ------------------------------------------------------
+
+CHUNK_ROWS = 30  # 3 windows of the 10-node ring per chunk
+
+
+def test_ring_test_split_spans_several_uneven_chunks():
+    *_, test_ws = ring_setup()
+    per_chunk = CHUNK_ROWS // 10
+    assert len(test_ws) > 4 * per_chunk and len(test_ws) % per_chunk
+    # at the default size the ring's whole test split is one chunk
+    assert len(test_ws) * 10 <= training.EVAL_ROWS
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_chunked_predictions_identical_for_any_thread_count(monkeypatch,
+                                                            threads):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(5)
+    serial = predict_windows(model, test_ws.inputs)
+    monkeypatch.setenv("TGCN_THREADS", str(threads))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
+    try:
+        threaded = predict_windows(model, test_ws.inputs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.shape == serial.shape
+    assert threaded.tobytes() == serial.tobytes()
+
+
+def test_chunks_do_not_depend_on_thread_count(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(5)
+    predict, seen = model.predict, []
+
+    def recorded(chunk):
+        seen.append(chunk.tobytes())
+        return predict(chunk)
+
+    model.predict = recorded
+    chunks = {}
+    for threads in (1, 2, 4):
+        monkeypatch.setenv("TGCN_THREADS", str(threads))
+        seen.clear()
+        predict_windows(model, test_ws.inputs)
+        chunks[threads] = sorted(seen)
+    per_chunk = CHUNK_ROWS // 10
+    assert len(chunks[1]) == -(-len(test_ws) // per_chunk)
+    assert chunks[1] == chunks[2] == chunks[4]
+
+
+def test_chunked_training_identical_for_any_thread_count(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    serial = _threaded_history(monkeypatch, 1)
+    for threads in (2, 4):
+        assert _threaded_history(monkeypatch, threads) == serial
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gru", "gcn", "ha"])
+def test_chunked_predictions_match_one_predict_call(monkeypatch, kind):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    prop, ds, train_ws, test_ws = ring_setup()
+    model = SequenceModel(kind, 10, 6, 4, 2, propagation=prop)
+    model.init_parameters(3)
+    whole = model.predict(test_ws.inputs)
+    chunked = predict_windows(model, test_ws.inputs)
+    assert chunked.shape == whole.shape
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_predict_windows_memory_does_not_grow_with_window_count(monkeypatch):
+    # 20 windows per chunk: in one call the (rows, hidden) state of 640
+    # windows would outweigh the row-block scratch, but one chunk's state
+    # outweighs the (count, n, 1) predictions of all of them
+    monkeypatch.setattr(training, "EVAL_ROWS", 200)
+    n, hidden, seq_len = 10, 64, 4
+    model = SequenceModel("tgcn", n, hidden, seq_len, 1,
+                          propagation=build_propagation(ring_adjacency()))
+    model.init_parameters(0)
+    windows = np.random.default_rng(38).random((640, seq_len, n))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            predict_windows(model, windows[:count])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    predict_windows(model, windows[:1])  # first-call allocations
+    small, large = peak(160), peak(640)
+    assert large < 1.25 * small, large / small
 
 
 def test_write_history(tmp_path):
