@@ -64,8 +64,8 @@ def read_csv_matrix(path):
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from exc
-    if "\r" in text:  # universal newlines, as a text-mode file reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # universal newlines, as a text-mode file reads them
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows, linenos = [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip():  # loadtxt strips each cell as str.strip would
@@ -154,7 +154,10 @@ def normalize(dataset):
     hi = float(train.max())
     if hi <= lo:
         raise DataError("training split is constant; cannot normalize")
-    scaled = (dataset.values - lo) / (hi - lo)
+    # C-ordered whatever the input's layout (a transposed file, or
+    # interpolate_missing's node-major copy), so make_windows need not copy
+    scaled = np.subtract(dataset.values, lo, order="C")
+    scaled /= hi - lo
     return replace(dataset, values=scaled, norm_min=lo, norm_max=hi)
 
 

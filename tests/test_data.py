@@ -128,6 +128,16 @@ def test_normalize_round_trip():
     assert train.min() >= 0.0 and train.max() <= 1.0
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_normalize_is_c_ordered_and_exact(order):
+    rng = np.random.default_rng(2)
+    values = np.asarray(rng.uniform(3, 80, size=(40, 4)), order=order)
+    norm = data.normalize(make_dataset(values))
+    lo, hi = values[:32].min(), values[:32].max()
+    assert norm.values.flags.c_contiguous
+    assert norm.values.tobytes() == ((values - lo) / (hi - lo)).tobytes("C")
+
+
 def test_normalize_constant_raises():
     ds = make_dataset(np.full((20, 2), 5.0))
     with pytest.raises(DataError):

@@ -219,15 +219,27 @@ def test_evaluate_on_denormalized_scale():
     assert report.n_points == len(test_ws) * 10
 
 
+# evaluation chunks of 3 windows of the 10-node ring, so that its test split
+# runs as several chunks on several threads
+CHUNK_ROWS = 30
+
+
 def test_threaded_evaluation_matches_serial(monkeypatch):
-    from tgcn.training import predict_windows
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
     model.init_parameters(5)
     serial = predict_windows(model, test_ws.inputs)
-    monkeypatch.setenv("TGCN_THREADS", "4")
-    threaded = predict_windows(model, test_ws.inputs)
-    assert np.array_equal(serial, threaded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
+    try:
+        for threads in (2, 4):
+            monkeypatch.setenv("TGCN_THREADS", str(threads))
+            threaded = predict_windows(model, test_ws.inputs)
+            assert threaded.shape == serial.shape
+            assert threaded.tobytes() == serial.tobytes(), threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -309,18 +321,19 @@ def _threaded_history(monkeypatch, threads):
 
 
 def test_threaded_training_matches_serial(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     serial = _threaded_history(monkeypatch, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
     try:
-        threaded = _threaded_history(monkeypatch, 2)
+        for threads in (2, 4):
+            assert _threaded_history(monkeypatch, threads) == serial, threads
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial
 
 
 def test_recording_stays_on_after_concurrent_predict(monkeypatch):
-    from tgcn.training import predict_windows
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
     model.init_parameters(7)
@@ -338,34 +351,12 @@ def test_recording_stays_on_after_concurrent_predict(monkeypatch):
 
 # -- chunked evaluation ------------------------------------------------------
 
-CHUNK_ROWS = 30  # 3 windows of the 10-node ring per chunk
-
-
 def test_ring_test_split_spans_several_uneven_chunks():
     *_, test_ws = ring_setup()
     per_chunk = CHUNK_ROWS // 10
     assert len(test_ws) > 4 * per_chunk and len(test_ws) % per_chunk
     # at the default size the ring's whole test split is one chunk
     assert len(test_ws) * 10 <= training.EVAL_ROWS
-
-
-@pytest.mark.parametrize("threads", [2, 4])
-def test_chunked_predictions_identical_for_any_thread_count(monkeypatch,
-                                                            threads):
-    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
-    prop, ds, train_ws, test_ws = ring_setup()
-    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
-    model.init_parameters(5)
-    serial = predict_windows(model, test_ws.inputs)
-    monkeypatch.setenv("TGCN_THREADS", str(threads))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
-    try:
-        threaded = predict_windows(model, test_ws.inputs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.shape == serial.shape
-    assert threaded.tobytes() == serial.tobytes()
 
 
 def test_chunks_do_not_depend_on_thread_count(monkeypatch):
@@ -389,13 +380,6 @@ def test_chunks_do_not_depend_on_thread_count(monkeypatch):
     per_chunk = CHUNK_ROWS // 10
     assert len(chunks[1]) == -(-len(test_ws) // per_chunk)
     assert chunks[1] == chunks[2] == chunks[4]
-
-
-def test_chunked_training_identical_for_any_thread_count(monkeypatch):
-    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
-    serial = _threaded_history(monkeypatch, 1)
-    for threads in (2, 4):
-        assert _threaded_history(monkeypatch, threads) == serial
 
 
 @pytest.mark.parametrize("kind", ["tgcn", "gru", "gcn", "ha"])
