@@ -9,9 +9,9 @@ Broadcasting is deliberately restricted: the only implicit broadcast is a
 must shape-match exactly so mistakes fail loudly.
 
 While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
-with large results (``matmul``, ``graph_propagate``, ``relu``, ``relu_mlp``
-and ``gru_unroll``) draw their outputs, backward results and scratch from
-it instead of allocating them, so a training loop's steps share memory.
+with large results (``graph_propagate``, ``relu_mlp`` and ``gru_unroll``)
+draw their outputs, backward results and scratch from it instead of
+allocating them, so a training loop's steps share memory.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def reusing(pool):
         _local.pool = prev
 
 
-def _empty(shape, dtype=np.float64):
+def _empty(shape):
     pool = _local.pool
-    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
+    return np.empty(shape) if pool is None else pool.empty(shape)
 
 
 class Tensor:
@@ -285,14 +285,11 @@ def matmul(a, b):
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a._accumulate(np.matmul(g, b.data.T, out=_empty(a.shape)),
-                          fresh=True)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(np.matmul(a.data.T, g, out=_empty(b.shape)),
-                          fresh=True)
+            b._accumulate(a.data.T @ g, fresh=True)
 
-    out = _empty((a.shape[0], b.shape[1]))
-    return Tensor._make(np.matmul(a.data, b.data, out=out), (a, b), bwd)
+    return Tensor._make(a.data @ b.data, (a, b), bwd)
 
 
 def graph_propagate(prop, x):
@@ -342,17 +339,13 @@ def tanh(x):
 def relu(x):
     # gradient at exactly 0 is defined as 0
     x = _lift(x)
-    mask = np.greater(x.data, 0, out=_empty(x.shape, bool))
+    mask = x.data > 0
 
     def bwd(g, x=x, mask=mask):
         # 0.0 where the mask is off, not g·0, which is −0.0 for a negative g
-        dx = _empty(x.shape)
-        dx.fill(0.0)
-        np.copyto(dx, g, where=mask)
-        x._accumulate(dx, fresh=True)
+        x._accumulate(np.where(mask, g, 0.0), fresh=True)
 
-    out = np.maximum(x.data, 0.0, out=_empty(x.shape))
-    return Tensor._make(out, (x,), bwd)
+    return Tensor._make(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 def relu_mlp(x, w0, w1):
@@ -437,7 +430,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
 
     The input at step t has rank r: it is feats[t]·lift, with feats a
     constant (L, m, r) array and lift an (r, p) Tensor. h0 is the (m, k)
-    initial state, each weight (p + k, k) and each bias (1, k). A weight's
+    initial state, also a constant: a recording call refuses one that
+    requires grad. Each weight is (p + k, k) and each bias (1, k). A weight's
     first p rows W_g act on the input and its last k rows W_h on the state.
     The lift folds into V = lift·W_g once per call, and a constant column
     of ones carries the biases, so with σ the logistic function step t is
@@ -461,10 +455,11 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     [feats_t | 1 | r∘h]; else every step reuses one block-sized set of the
     three and r∘h overwrites the copy of h.
     The backward replays each row block's steps in reverse with block-sized
-    scratch and stitches the h0 gradient from the blocks' rows. Its GEMMs with
-    the same left operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations'
-    gradients dz_t, the bias gradients and the state rows' gradients, across
-    steps and blocks; lift then gets dV·W_gᵀ and W_g gets liftᵀ·dV.
+    scratch, and forms no state gradient at the first step, since h0 is a
+    constant. Its GEMMs with the same left operands sum dV = Σ_t feats_tᵀ·dz_t
+    over the pre-activations' gradients dz_t, the bias gradients and the
+    state rows' gradients, across steps and blocks; lift then gets dV·W_gᵀ
+    and W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -482,7 +477,10 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             f"lift {lift.shape}, h0 {h0.shape}, "
             f"weights {[w.shape for w in weights]}, "
             f"biases {[b.shape for b in biases]}")
-    record = _recording((lift, h0) + weights + biases)
+    if h0.requires_grad and is_grad_enabled():
+        raise ContractError("gru_unroll: h0 requires grad, but the first "
+                            "state gets no gradient")
+    record = _recording((lift,) + weights + biases)
     q = r + 1  # the columns before the state: feats_t and the ones
     wg_ur = np.concatenate([w_u.data[:p], w_r.data[:p]], axis=1)
     w_ur = np.concatenate([  # (q + k, 2k)
@@ -529,7 +527,6 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         # rows' gradients
         g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
         t_ur, t_c = np.empty_like(g_ur), np.empty_like(g_c)
-        dh0 = np.empty((m, k)) if h0.requires_grad else None
         # one set of block-sized buffers for the whole replay
         dh_, gu_, dc_, drh_, du_ = (_empty((rows, k)) for _ in range(5))
         dz_, dsig_ = _empty((rows, 2 * k)), _empty((rows, 2 * k))
@@ -562,13 +559,11 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                 xr[:, :r] = x[:, :r]
                 np.multiply(rg, h, out=xr[:, q:])
                 g_c += np.matmul(xr.T, dc, out=t_c)
-                if t or dh0 is not None:
+                if t:
                     np.matmul(dz, w_ur[q:].T, out=dh)
                     dh += gu
                     np.multiply(drh, rg, out=gu)
                     dh += gu
-            if dh0 is not None:
-                dh0[s:e] = dh
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T
@@ -581,10 +576,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                          (b_r, g_ur[r:q, k:]), (b_c, g_c[r:q])):
             if param.requires_grad:
                 param._accumulate(g)
-        if dh0 is not None:
-            h0._accumulate(dh0, fresh=True)
 
-    return Tensor._make(out, (lift, h0) + weights + biases, bwd)
+    return Tensor._make(out, (lift,) + weights + biases, bwd)
 
 
 def tensor_sum(x):

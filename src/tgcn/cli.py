@@ -30,8 +30,6 @@ def _add_common(p):
     p.add_argument("--hidden", type=int, default=100)
     p.add_argument("--seq-len", type=int, default=12)
     p.add_argument("--horizon-steps", type=int, default=1)
-    p.add_argument("--interval", type=int, default=15,
-                   help="minutes per timestep (recorded in the metrics JSON)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--transpose", action="store_true",
                    help="feature CSV has one row per road")
@@ -41,16 +39,23 @@ def _add_common(p):
                    help="noise distribution for perturbation runs")
     p.add_argument("--param", type=float,
                    help="noise parameter (sigma or lambda)")
+
+
+def _add_metrics_flags(p):
+    p.add_argument("--interval", type=int, default=15,
+                   help="minutes per timestep (recorded in the metrics JSON)")
     p.add_argument("--metrics-out", help="metrics JSON path")
 
 
 def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=3000)
-    p.add_argument("--lambda", dest="weight_decay", type=float, default=1.5e-3)
-    p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--eval-every", type=int, default=10)
+    defaults = training.TrainConfig()
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lambda", dest="weight_decay", type=float,
+                   default=defaults.weight_decay)
+    p.add_argument("--clip", type=float, default=defaults.clip)
+    p.add_argument("--eval-every", type=int, default=defaults.eval_every)
     p.add_argument("--out", help="checkpoint output path")
     p.add_argument("--history-out", help="history CSV path")
 
@@ -62,10 +67,12 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train a model and emit metrics")
     _add_common(p_train)
+    _add_metrics_flags(p_train)
     _add_train_flags(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     _add_common(p_eval)
+    _add_metrics_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--predictions-out", help="optional predictions CSV")
 
@@ -77,6 +84,7 @@ def build_parser():
     p_pert = sub.add_parser("perturb",
                             help="train+eval on noise-injected data")
     _add_common(p_pert)
+    _add_metrics_flags(p_pert)
     _add_train_flags(p_pert)
     p_pert.add_argument("--sweep", action="store_true",
                         help="iterate the standard sigma/lambda sets")

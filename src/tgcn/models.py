@@ -54,34 +54,31 @@ def _is_bias(name):
 
 
 class GcnEncoder:
-    """Two-layer graph convolution: prop @ relu(prop @ X @ W0) @ W1.
+    """The GCN baseline: the two-layer graph convolution
+    prop·relu(prop·X·W0)·W1 followed by the linear head. `params` holds the
+    weights under their checkpoint names.
 
-    The outer activation is the identity; the consuming gates (or linear
-    head) apply their own nonlinearity. `params` holds the weights under
-    their checkpoint names.
-
-    Everything after the ReLU is linear, so a head that follows folds into
-    the last weight: (prop·H·W1)·head = prop·(H·(W1·head)). `forward` then
-    runs the second propagation last, on head's few columns rather than
-    W1's hidden ones, and the hidden layer relu(prop·X·W0)·(W1·head) is one
+    Everything after the ReLU is linear, so the head folds into the last
+    weight: (prop·H·W1)·head = prop·(H·(W1·head)). `forward` runs the second
+    propagation last, on head's few columns rather than W1's hidden ones,
+    and the hidden layer relu(prop·X·W0)·(W1·head) is one
     `autodiff.relu_mlp` node, so no (rows, hidden) activation is kept.
     """
 
-    def __init__(self, propagation, in_dim, gc_hidden, out_dim):
+    def __init__(self, propagation, in_dim, hidden):
         self.propagation = np.asarray(propagation, dtype=np.float64)
-        self.w0 = _param(in_dim, gc_hidden)
-        self.w1 = _param(gc_hidden, out_dim)
+        self.w0 = _param(in_dim, hidden)
+        self.w1 = _param(hidden, hidden)
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
-    def forward(self, x, head=None):
-        """prop·relu(prop·x·W0)·W1, times head when one is given. x is a
-        constant: it receives no gradient."""
+    def forward(self, x, head):
+        """prop·relu(prop·x·W0)·W1·head. x is a constant: it receives no
+        gradient."""
         if getattr(x, "requires_grad", False):
             raise ContractError("GcnEncoder.forward: x requires grad, but "
                                 "the encoder's input gets no gradient")
         y = ad.graph_propagate(self.propagation, x).data
-        # recorded as a product, so autodiff gives w1 and head gradients
-        w = self.w1 if head is None else self.w1 @ head
+        w = self.w1 @ head  # recorded, so autodiff gives w1 and head gradients
         return ad.graph_propagate(self.propagation, ad.relu_mlp(y, self.w0, w))
 
     def encode(self, windows, head):
@@ -92,18 +89,20 @@ class GcnEncoder:
 
 
 class TgcnCell:
-    """GRU-style cell whose input transform is the graph convolution.
+    """GRU-style cell whose input transform is the graph convolution
+    P·relu(P·x_t·w0)·w1 of the (m, 1) input x_t.
 
-    `params` holds the input transform's weights, then the gate weights
-    and biases (`GATE_PARAMS`, also attributes), under their checkpoint
+    `params` holds w0 and w1 (as `gcn.w0`, `gcn.w1`), then the gate weights
+    and biases (`GATE_PARAMS`), all also attributes, under their checkpoint
     names. The input transform has rank r in the hidden dimension, so a
     cell supplies it as constant per-row `features` (L, m, r) and a learned
     `lift` (r, hidden), and `autodiff.gru_unroll` runs the gated updates.
     """
 
     def __init__(self, propagation, hidden):
-        self.gcn = GcnEncoder(propagation, 1, hidden, hidden)
-        self._init_gates(self.gcn.params, hidden)
+        self.propagation = np.asarray(propagation, dtype=np.float64)
+        self.w0, self.w1 = _param(1, hidden), _param(hidden, hidden)
+        self._init_gates({"gcn.w0": self.w0, "gcn.w1": self.w1}, hidden)
 
     def _init_gates(self, input_params, hidden):
         self.hidden = hidden
@@ -115,8 +114,8 @@ class TgcnCell:
     def features(self, x):
         """(L, m) node-major inputs -> the (L, m, 2) features
         [P·relu(y) | P·relu(−y)], y = P·x_t, of every timestep at once;
-        gcn.forward(x_t) equals features[t]·lift()."""
-        prop = self.gcn.propagation
+        P·relu(y·w0)·w1 equals features[t]·lift()."""
+        prop = self.propagation
         n, steps = prop.shape[0], x.shape[0]
         # (n, L·B): one column per timestep and window
         y = ad.graph_propagate(prop, x.reshape(steps, n, -1).transpose(
@@ -130,14 +129,14 @@ class TgcnCell:
 
     def lift(self):
         """relu([w0; −w0])·w1, recorded so that w0 and w1 get gradients."""
-        return ad.relu(Tensor(SIGNS) @ self.gcn.w0) @ self.gcn.w1
+        return ad.relu(Tensor(SIGNS) @ self.w0) @ self.w1
 
     def _unroll(self, x, h0):
         return ad.gru_unroll(self.features(x), self.lift(), h0, self.w_u,
                              self.w_r, self.w_c, self.b_u, self.b_r, self.b_c)
 
     def step(self, x_t, h_prev):
-        """One update from the (m, 1) input x_t, a constant."""
+        """One update from the constant (m, 1) input x_t and state h_prev."""
         return self._unroll(np.reshape(getattr(x_t, "data", x_t), (1, -1)),
                             h_prev)
 
@@ -175,7 +174,7 @@ class ModelKind(NamedTuple):
 MODEL_KINDS = {
     "tgcn": ModelKind(True, lambda m: TgcnCell(m.propagation, m.hidden)),
     "gcn": ModelKind(True, lambda m: GcnEncoder(m.propagation, m.seq_len,
-                                                m.hidden, m.hidden)),
+                                                m.hidden)),
     "gru": ModelKind(False, lambda m: GruCell(m.hidden)),
     "ha": ModelKind(False, None),
 }

@@ -264,25 +264,26 @@ def unfused_unroll(feats, lift, h0, *gates):
     return h
 
 
-def unroll_inputs(rng, n_steps, m, r, p, k, h_const=False):
+def unroll_inputs(rng, n_steps, m, r, p, k, zero_state=False):
     """The constant (n_steps, m, r) feats, then [lift, h0, w_u, w_r, w_c,
-    b_u, b_r, b_c] as Tensors; with h_const, h0 is the zero first state and
-    needs no gradient."""
+    b_u, b_r, b_c] as Tensors. h0 is a constant: a random, nonzero one, or
+    with zero_state the zero-stride zero state the models pass. Every other
+    Tensor requires grad."""
     feats = rng.standard_normal((n_steps, m, r))
     shapes = [(r, p), (m, k)] + [(p + k, k)] * 3 + [(1, k)] * 3
     ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-    if h_const:
-        ts[1] = Tensor(np.zeros((m, k)))
+    ts[1] = Tensor(np.broadcast_to(0.0, (m, k)) if zero_state
+                   else ts[1].data)
     return feats, ts
 
 
-@pytest.mark.parametrize("h_const", [False, True])
-def test_gru_step_gradcheck(h_const):
+@pytest.mark.parametrize("zero_state", [False, True])
+def test_gru_step_gradcheck(zero_state):
     rng = np.random.default_rng(21)
-    feats, xs = unroll_inputs(rng, 3, 4, 2, 2, 3, h_const)
+    feats, xs = unroll_inputs(rng, 3, 4, 2, 2, 3, zero_state)
     weight = Tensor(rng.standard_normal((4, 3)))
     inputs = [x for x in xs if x.requires_grad]
-    assert len(inputs) == (7 if h_const else 8)
+    assert len(inputs) == 7
 
     def f(_):
         return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
@@ -291,13 +292,13 @@ def test_gru_step_gradcheck(h_const):
     assert report.passed, report.per_input
 
 
-@pytest.mark.parametrize("m,p,k,h_const", [
+@pytest.mark.parametrize("m,p,k,zero_state", [
     (1, 1, 1, False), (6, 3, 3, False), (5, 2, 4, False), (7, 4, 2, True),
     (12, 5, 5, True)])
-def test_gru_step_matches_unfused_composition(m, p, k, h_const):
+def test_gru_step_matches_unfused_composition(m, p, k, zero_state):
     for n_steps, r in itertools.product((1, 3), (1, 2)):
         rng = np.random.default_rng(m * 100 + p * 10 + k + 7 * n_steps + r)
-        feats, xs = unroll_inputs(rng, n_steps, m, r, p, k, h_const)
+        feats, xs = unroll_inputs(rng, n_steps, m, r, p, k, zero_state)
         weight = Tensor(rng.standard_normal((m, k)))
         outs, grads = [], []
         for unroll in (ad.gru_unroll, unfused_unroll):
@@ -319,13 +320,13 @@ BLOCK = 4  # a row block small enough for a few rows to span several
 
 
 @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-@pytest.mark.parametrize("h_const", [False, True])
-def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, h_const):
+@pytest.mark.parametrize("zero_state", [False, True])
+def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, zero_state):
+    # without zero_state the first state is random, so every block's h0
+    # rows count
     monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
     rng = np.random.default_rng(30 + m)
-    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2, h_const)
-    if h_const:  # a nonzero first state, so every block's h0 rows count
-        xs[1] = Tensor(rng.standard_normal((m, 2)))
+    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2, zero_state)
     weight = Tensor(rng.standard_normal((m, 2)))
     want = unfused_unroll(feats, *xs)
     ad.tensor_sum(want * weight).backward()
@@ -343,13 +344,10 @@ def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, h_const):
             assert x.grad is None
             continue
         assert np.max(np.abs(x.grad - unfused)) <= 1e-12
-    # one forward loop serves both grad modes, so they give the same bits,
-    # from the zero-stride first state the models pass and from a random one
-    for h0 in (np.broadcast_to(0.0, (m, 2)), xs[1]):
-        args = [xs[0], h0, *xs[2:]]
-        with ad.no_grad():
-            free = ad.gru_unroll(feats, *args).data
-        assert np.array_equal(free, ad.gru_unroll(feats, *args).data)
+    # one forward loop serves both grad modes, so they give the same bits
+    with ad.no_grad():
+        free = ad.gru_unroll(feats, *xs).data
+    assert np.array_equal(free, ad.gru_unroll(feats, *xs).data)
 
 
 def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
@@ -362,8 +360,20 @@ def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
     def f(_):
         return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
 
-    report = gradcheck(f, xs, tol=1e-7)
+    report = gradcheck(f, [x for x in xs if x.requires_grad], tol=1e-7)
     assert report.passed, report.per_input
+
+
+def test_gru_unroll_refuses_an_h0_that_requires_grad():
+    # the first state is a constant: a gradient asked of it would be dropped
+    # without a word
+    feats, xs = unroll_inputs(np.random.default_rng(33), 3, 4, 2, 2, 3)
+    xs[1] = Tensor(xs[1].data, requires_grad=True)
+    with pytest.raises(ContractError, match="h0 requires grad"):
+        ad.gru_unroll(feats, *xs)
+    with ad.no_grad():  # nothing is recorded, so nothing is dropped
+        out = ad.gru_unroll(feats, *xs)
+    assert out._backward is None and out.data.shape == (4, 3)
 
 
 def test_gru_step_records_nothing_under_no_grad():

@@ -364,10 +364,39 @@ def test_eval_missing_checkpoint(tmp_path, ring_files, capsys):
 
 def test_interval_recorded_in_metrics(tmp_path, ring_files):
     _, feat = ring_files
-    metrics = tmp_path / "metrics.json"
-    run(["train", "--features", feat, "--model", "ha", "--seq-len", "4",
-         "--interval", "5", "--metrics-out", str(metrics)])
+    metrics, ckpt = tmp_path / "metrics.json", tmp_path / "model.ckpt"
+    base = ["--features", feat, "--model", "ha", "--seq-len", "4",
+            "--interval", "5", "--metrics-out", str(metrics)]
+    assert run(["train", *base, "--out", str(ckpt)]) == 0
     assert read_json(metrics)["interval_minutes"] == 5
+    metrics.unlink()
+    assert run(["eval", *base, "--checkpoint", str(ckpt)]) == 0
+    assert read_json(metrics)["interval_minutes"] == 5
+
+
+@pytest.mark.parametrize("flag,value", [("--metrics-out", "m.json"),
+                                        ("--interval", "5")])
+def test_predict_rejects_metrics_flags(tmp_path, ring_files, capsys, flag,
+                                       value):
+    # predict writes no metrics, so it takes no flag that only they use
+    _, feat = ring_files
+    with pytest.raises(SystemExit) as exc:
+        run(["predict", "--features", feat, "--model", "ha", "--seq-len", "4",
+             "--checkpoint", str(tmp_path / "model.ckpt"),
+             "--predictions-out", str(tmp_path / "preds.csv"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "perturb"])
+def test_training_flag_defaults_are_train_config_defaults(command):
+    args = cli.build_parser().parse_args([command, "--features", "f.csv"])
+    defaults = training.TrainConfig()
+    assert (args.lr, args.batch, args.epochs, args.weight_decay, args.clip,
+            args.eval_every) == (
+        defaults.lr, defaults.batch_size, defaults.epochs,
+        defaults.weight_decay, defaults.clip, defaults.eval_every)
 
 
 def test_eval_malformed_checkpoint_header_clean_error(tmp_path, ring_files):

@@ -42,7 +42,7 @@ def gated_step_oracle(g, h, wu, wr, wc, bu, br, bc):
 
 
 def tgcn_step_oracle(prop, cell, x, h):
-    g = gcn_oracle(prop, cell.gcn.w0.data, cell.gcn.w1.data, x)
+    g = gcn_oracle(prop, cell.w0.data, cell.w1.data, x)
     return gated_step_oracle(g, h, cell.w_u.data, cell.w_r.data,
                              cell.w_c.data, cell.b_u.data, cell.b_r.data,
                              cell.b_c.data)
@@ -62,54 +62,57 @@ def _randomize(cell, rng):
     if isinstance(cell, GruCell):
         cell.w_in.data[:] = rng.standard_normal(cell.w_in.shape)
     else:
-        cell.gcn.w0.data[:] = rng.standard_normal(cell.gcn.w0.shape)
-        cell.gcn.w1.data[:] = rng.standard_normal(cell.gcn.w1.shape)
+        cell.w0.data[:] = rng.standard_normal(cell.w0.shape)
+        cell.w1.data[:] = rng.standard_normal(cell.w1.shape)
 
 
 # -- GCN encoder -------------------------------------------------------------
 
 def test_gcn_isolated_node_passthrough():
-    enc = GcnEncoder(np.eye(1), 1, 1, 1)
+    enc = GcnEncoder(np.eye(1), 1, 1)
     enc.w0.data[:] = 1.0
     enc.w1.data[:] = 1.0
-    out = enc.forward(Tensor([[2.0]]))
+    out = enc.forward(Tensor([[2.0]]), Tensor([[1.0]]))
     assert np.allclose(out.data, [[2.0]])
 
 
 def test_gcn_zero_input_zero_output():
     rng = np.random.default_rng(0)
     prop = random_graph(rng, 4)
-    enc = GcnEncoder(prop, 2, 3, 2)
+    enc = GcnEncoder(prop, 2, 3)
     enc.w0.data[:] = rng.standard_normal(enc.w0.shape)
     enc.w1.data[:] = rng.standard_normal(enc.w1.shape)
-    out = enc.forward(Tensor(np.zeros((4, 2))))
+    out = enc.forward(Tensor(np.zeros((4, 2))),
+                      Tensor(rng.standard_normal((3, 2))))
     assert np.array_equal(out.data, np.zeros((4, 2)))
 
 
 def test_gcn_matches_direct_evaluation():
     rng = np.random.default_rng(1)
     prop = random_graph(rng, 4)
-    enc = GcnEncoder(prop, 2, 3, 2)
+    enc = GcnEncoder(prop, 2, 3)
     enc.w0.data[:] = rng.standard_normal(enc.w0.shape)
     enc.w1.data[:] = rng.standard_normal(enc.w1.shape)
     x = rng.standard_normal((4, 2))
-    got = enc.forward(Tensor(x)).data
-    want = gcn_oracle(prop, enc.w0.data, enc.w1.data, x)
+    head = rng.standard_normal((3, 2))
+    got = enc.forward(Tensor(x), Tensor(head)).data
+    want = gcn_oracle(prop, enc.w0.data, enc.w1.data, x) @ head
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_gcn_forward_shape_error():
-    enc = GcnEncoder(np.eye(3), 1, 2, 2)
+    enc = GcnEncoder(np.eye(3), 1, 2)
     with pytest.raises(ShapeError):
-        enc.forward(Tensor(np.zeros((4, 1))))
+        enc.forward(Tensor(np.zeros((4, 1))), Tensor(np.zeros((2, 1))))
 
 
 def test_gcn_forward_refuses_an_input_that_requires_grad():
     # the input is a constant of the hidden layer: a gradient asked of it
     # would be dropped without a word
-    enc = GcnEncoder(np.eye(3), 1, 2, 2)
+    enc = GcnEncoder(np.eye(3), 1, 2)
     with pytest.raises(ContractError, match="requires grad"):
-        enc.forward(Tensor(np.zeros((3, 1)), requires_grad=True))
+        enc.forward(Tensor(np.zeros((3, 1)), requires_grad=True),
+                    Tensor(np.zeros((2, 1))))
 
 
 # -- cell steps --------------------------------------------------------------
@@ -165,8 +168,8 @@ def test_gru_matches_tgcn_on_edgeless_graph():
         getattr(tg, name).data[:] = w
         getattr(gr, name).data[:] = w
     gr.w_in.data[:] = lift
-    tg.gcn.w0.data[:] = lift  # relu is identity for nonnegative activations
-    tg.gcn.w1.data[:] = np.eye(hidden)
+    tg.w0.data[:] = lift  # relu is identity for nonnegative activations
+    tg.w1.data[:] = np.eye(hidden)
     x = np.abs(rng.standard_normal((n, 1)))  # keep the relu path active
     h = rng.standard_normal((n, hidden))
     a = tg.step(Tensor(x), Tensor(h)).data
@@ -181,7 +184,7 @@ def test_gate_ranges():
     _randomize(cell, rng)
     # float64 sigmoid saturates to exactly 1.0 around z ~ 37, so probe the
     # open-interval property at moderate preactivations
-    g = cell.gcn.forward(Tensor(rng.standard_normal((5, 1))))
+    g = tgcn_input_transform(cell, Tensor(rng.standard_normal((5, 1))))
     h = Tensor(rng.standard_normal((5, 4)))
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ cell.w_u + cell.b_u).data
@@ -198,10 +201,13 @@ def test_contraction_at_zero_weights():
     cell = TgcnCell(prop, 4)
     h0 = np.random.default_rng(8).standard_normal((3, 4))
     h = Tensor(h0)
-    for t in range(1, 6):
-        h = cell.step(Tensor(np.ones((3, 1))), h)
-        assert np.allclose(np.linalg.norm(h.data),
-                           0.5 ** t * np.linalg.norm(h0), atol=1e-12)
+    # forward only: a recorded step's state requires grad, and a step takes
+    # its state as a constant
+    with ad.no_grad():
+        for t in range(1, 6):
+            h = cell.step(Tensor(np.ones((3, 1))), h)
+            assert np.allclose(np.linalg.norm(h.data),
+                               0.5 ** t * np.linalg.norm(h0), atol=1e-12)
 
 
 # -- sequence model ----------------------------------------------------------
@@ -356,17 +362,25 @@ def test_forward_tape_node_count(kind, nodes):
         assert tape_nodes(out) == nodes
 
 
+def tgcn_input_transform(cell, x_t):
+    """T-GCN's graph convolution of the node-major (m, 1) input x_t,
+    P·relu(P·x_t·w0)·w1, composed from primitives."""
+    prop = cell.propagation
+    return ad.graph_propagate(
+        prop, ad.relu(ad.graph_propagate(prop, x_t) @ cell.w0) @ cell.w1)
+
+
 def stepwise_forward(model, windows):
     """The cell unrolled one step at a time from primitives: the input
-    transform (GcnEncoder.forward, or x_t·w_in) on each timestep's node-major
-    column, then unfused_gru_step, then the head."""
+    transform (tgcn_input_transform, or x_t·w_in) on each timestep's
+    node-major column, then unfused_gru_step, then the head."""
     cell = model.encoder
     batch, seq_len, n = windows.shape
     h = Tensor(np.zeros((n * batch, model.hidden)))
     for t in range(seq_len):
         x_t = Tensor(windows[:, t, :].T.reshape(-1, 1))
         g = (x_t @ cell.w_in if isinstance(cell, GruCell)
-             else cell.gcn.forward(x_t))
+             else tgcn_input_transform(cell, x_t))
         h = unfused_gru_step(g, h, *(getattr(cell, k) for k in GATE_PARAMS))
     return h @ model.proj_w + model.proj_b
 
@@ -385,7 +399,7 @@ def _kinked_instance(rng, kind, horizon=2):
     for p in model.parameters().values():
         p.data[:] = rng.standard_normal(p.shape)
     if kind == "tgcn":
-        model.encoder.gcn.w0.data[0, :3] = [-0.8, 0.0, 1.1]
+        model.encoder.w0.data[0, :3] = [-0.8, 0.0, 1.1]
     windows = rng.standard_normal((3, 4, n))
     windows[:, 1, :] = 0.0
     windows[:, :, 0] = 0.0
@@ -484,7 +498,7 @@ def test_relu_gradient_zero_at_kink_in_lift():
     # entries still receive one
     rng = np.random.default_rng(31)
     model, windows = _kinked_instance(rng, "tgcn")
-    w0 = model.encoder.gcn.w0
+    w0 = model.encoder.w0
     target = Tensor(rng.standard_normal((windows.shape[2] * 3, 2)))
     for forward in (model.forward, lambda w: stepwise_forward(model, w)):
         w0.zero_grad()
