@@ -12,13 +12,21 @@ While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
 with large results (``graph_propagate``, ``relu_mlp`` and ``gru_unroll``)
 draw their outputs, backward results and scratch from it instead of
 allocating them, so a training loop's steps share memory.
+
+While worker threads are bound on a thread (``threads``), ``gru_unroll``
+runs its row blocks, forward and backward, on them and on the calling
+thread, each thread taking the next block when it finishes one. The
+calling thread draws every buffer the threads use and waits for all of
+them, and the weight gradients are summed per block and added in block
+order, so the results do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +40,13 @@ ROW_BLOCK = 512
 
 
 class _ThreadState(threading.local):
-    # per thread, so that no_grad on an evaluation worker cannot switch
-    # recording off (or leave it off) for the thread that trains, and a
-    # pool bound by the training thread serves no other thread
+    # per thread, so that no_grad on one thread cannot switch recording off
+    # (or leave it off) for another, and a pool or workers bound by one
+    # thread serve no other thread
     enabled = True
     pool = None
+    threads = 1  # gru_unroll's threads, this one included
+    executor = None  # the threads - 1 workers
 
 
 _local = _ThreadState()
@@ -108,6 +118,56 @@ def reusing(pool):
 def _empty(shape):
     pool = _local.pool
     return np.empty(shape) if pool is None else pool.empty(shape)
+
+
+@contextmanager
+def threads(count):
+    """Run the row blocks of the ``gru_unroll`` calls made on this thread
+    inside the block on ``count`` threads, this one included: ``count`` − 1
+    workers start here and stop when the block ends. A binding of the same
+    count already in place is kept, so code that binds its threads can run
+    inside code that bound them first, on the same workers."""
+    if count == _local.threads:
+        yield
+        return
+    prev = _local.threads, _local.executor
+    with (ThreadPoolExecutor(count - 1) if count > 1
+          else nullcontext()) as executor:
+        _local.threads, _local.executor = count, executor
+        try:
+            yield
+        finally:
+            _local.threads, _local.executor = prev
+
+
+def _run_blocks(n_blocks, task, scratch):
+    """task(j, *own) for every block j in range(n_blocks), on this thread
+    and the bound workers, one thread per tuple ``own`` of ``scratch``. A
+    thread takes the next block whenever it finishes one, so a thread
+    slowed by other load runs fewer. Returns once every thread has
+    finished, so that no worker still writes to a buffer when its caller
+    goes on, and re-raises this thread's error, or else the first
+    worker's; after an error here the workers take no further block."""
+    blocks, lock = iter(range(n_blocks)), threading.Lock()
+
+    def run(*own):
+        while True:
+            with lock:
+                j = next(blocks, None)
+            if j is None:
+                return
+            task(j, *own)
+
+    futures = [_local.executor.submit(run, *own) for own in scratch[1:]]
+    try:
+        run(*scratch[0])
+    finally:
+        with lock:
+            for _ in blocks:
+                pass
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 class Tensor:
@@ -216,7 +276,9 @@ def _sigmoid_values(v, out=None):
     """Logistic function 1/(1 + exp(-v)) with one transcendental per element
     and no scratch arrays; ``out`` may be ``v`` itself. Below v ≈ -709
     exp(-v) overflows to inf and σ reads 0, within 1e-307 of its true
-    value, so that overflow is not reported."""
+    value, so that overflow is not reported. The errstate is entered here,
+    on the thread that computes: it is a context variable, which the
+    workers of ``threads`` do not inherit from their caller."""
     out = np.negative(v, out=np.empty_like(v) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -353,15 +415,15 @@ def relu_mlp(x, w0, w1):
 
     The rows run in blocks of ROW_BLOCK, and the forward keeps nothing of
     height m but the (m, o) result: a block's activation a = x·w0 lives in
-    one block-sized scratch. The backward recomputes it per block, adds
-    relu(a)ᵀ·g into dw1, and turns a in place into the 0/1 mask M of the
-    ReLU, 0 at the kink, so an entry of x·w0 that is exactly 0 passes no
-    gradient. Rather than form the (m, hidden) gradient M∘(g·w1ᵀ), it sums
-    over the output columns j
+    one block-sized scratch. The backward recomputes it per block and turns
+    it in place into the 0/1 mask M of the ReLU, 0 at the kink, so an entry
+    of x·w0 that is exactly 0 passes no gradient. Rather than form the
+    (m, hidden) gradient M∘(g·w1ᵀ), it sums the o products
+    G_j = (x∘g_j)ᵀ·M over the blocks, as one GEMM on a (rows, o·d) scratch,
+    and gets both weight gradients from them:
 
-        dw0 = Σ_j ((x∘g_j)ᵀ·M)∘w1[:, j]ᵀ
-
-    with the o products (x∘g_j)ᵀ·M as one GEMM on a (rows, o·d) scratch.
+        dw0       = Σ_j G_j∘w1[:, j]ᵀ
+        dw1[:, j] = Σ_d w0[d, :]∘G_j[d, :]     (relu(a)ᵀ·g_j, as M∘a = relu(a))
     """
     w0, w1 = _lift(w0), _lift(w1)
     x = np.asarray(x, dtype=np.float64)
@@ -382,20 +444,19 @@ def relu_mlp(x, w0, w1):
 
     def bwd(g):
         act, xg = _empty((rows, hidden)), _empty((rows, o * d))
-        dw1, t1 = np.zeros((hidden, o)), np.empty((hidden, o))
         # Σ over blocks of (x∘g_j)ᵀ·M, the o products stacked as rows
         gm, tm = np.zeros((o * d, hidden)), np.empty((o * d, hidden))
         for s, e in blocks:
             a = np.matmul(x[s:e], w0.data, out=act[:e - s])
-            np.maximum(a, 0.0, out=a)
-            dw1 += np.matmul(a.T, g[s:e], out=t1)
             # M as 0.0/1.0; np.sign gives the same in ten times as long
             np.greater(a, 0.0, out=a)
             y = xg[:e - s]
             np.multiply(g[s:e, :, None], x[s:e, None, :],
                         out=y.reshape(e - s, o, d))
             gm += np.matmul(y.T, a, out=tm)
-        dw0 = np.einsum("jdk,kj->dk", gm.reshape(o, d, hidden), w1.data)
+        gm = gm.reshape(o, d, hidden)
+        dw0 = np.einsum("jdk,kj->dk", gm, w1.data)
+        dw1 = np.einsum("jdk,dk->kj", gm, w0.data)
         for param, grad in ((w0, dw0), (w1, dw1)):
             if param.requires_grad:
                 param._accumulate(grad, fresh=True)
@@ -442,24 +503,27 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         h   <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
     and the result is h after step L. No row's update reads another row,
-    so the rows run in blocks of ROW_BLOCK, and each block runs all L steps
-    before the next block starts: the buffers a step touches stay in cache
-    across the window instead of streaming all m rows from memory on every
-    step.
+    so the rows run in blocks of at most ROW_BLOCK, and each block runs all
+    L steps before the next block starts: the buffers a step touches stay in
+    cache across the window instead of streaming all m rows from memory on
+    every step. The blocks run on the threads bound with ``threads``, the
+    calling thread included, each taking the next block when it finishes
+    one.
 
     A block's state lives only in its rows of the result, set from h0 and
     updated in place; each step copies feats_t and the state into its
     [feats_t | 1 | h] rows. When recording, those rows, [u|r] and c are kept
     for every step in three (L, m, ·) blocks allocated once, so the copy
     keeps h_{t−1} for the backward, and r∘h goes to a block-sized
-    [feats_t | 1 | r∘h]; else every step reuses one block-sized set of the
-    three and r∘h overwrites the copy of h.
+    [feats_t | 1 | r∘h] per thread; else each thread's steps reuse one
+    block-sized set of the three and r∘h overwrites the copy of h.
     The backward replays each row block's steps in reverse with block-sized
-    scratch, and forms no state gradient at the first step, since h0 is a
-    constant. Its GEMMs with the same left operands sum dV = Σ_t feats_tᵀ·dz_t
-    over the pre-activations' gradients dz_t, the bias gradients and the
-    state rows' gradients, across steps and blocks; lift then gets dV·W_gᵀ
-    and W_g gets liftᵀ·dV.
+    scratch per thread, and forms no state gradient at the first step, since
+    h0 is a constant. Its GEMMs with the same left operands sum
+    dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients dz_t, the
+    bias gradients and the state rows' gradients, over each block's steps;
+    the blocks' sums are then added in block order. lift gets dV·W_gᵀ and
+    W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -487,20 +551,35 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
-    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
-    rows = min(m, ROW_BLOCK)  # the tallest block
+    # as few blocks as ROW_BLOCK allows (one if there are no rows), equal to
+    # within a row, so that no short block is left for the end; the blocks
+    # do not depend on the number of threads
+    n_blocks = max(1, -(-m // ROW_BLOCK))
+    bounds = [i * m // n_blocks for i in range(n_blocks + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
+    rows = -(-m // n_blocks)  # the tallest block
+    n_threads = min(n_blocks, _local.threads)
     out = _empty((m, k))
     # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
-    # recording, else one block's rows reused by every step
-    kept = (n_steps, m) if record else (1, rows)
-    xh = _empty(kept + (q + k,))
-    ur = _empty(kept + (2 * k,))
-    c = _empty(kept + (k,))
-    xrh = _empty((rows, q + k))  # [feats_t | 1 | r∘h] when recording
-    xh[..., r] = 1.0
-    xrh[:, r] = 1.0
-    for s, e in blocks:
+    # recording, which the threads share, else one block's rows per
+    # thread, reused by every step
+    widths = (q + k, 2 * k, k)
+    if record:
+        kept = [[_empty((n_steps, m, w)) for w in widths]] * n_threads
+    else:
+        kept = [[_empty((1, rows, w)) for w in widths]
+                for _ in range(n_threads)]
+    # [feats_t | 1 | r∘h] per thread when recording
+    xrh = [_empty((rows, q + k)) if record else None
+           for _ in range(n_threads)]
+    if record:
+        for xr in xrh:
+            xr[:, r] = 1.0
+
+    def forward(j, xh, ur, c, xr_):
+        s, e = blocks[j]
         rs = slice(s, e) if record else slice(0, e - s)
+        xh[:, rs, r] = 1.0
         state = out[s:e]
         state[...] = h0.data[s:e]
         for t in range(n_steps):
@@ -512,8 +591,10 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             _sigmoid_values(z, out=z)
             u, rg = z[:, :k], z[:, k:]
             # r∘h beside a copy of feats_t, or unkept over x's copy of h
-            xr = xrh[:e - s] if record else x
-            xr[:, :r] = x[:, :r]
+            xr = x
+            if record:
+                xr = xr_[:e - s]
+                xr[:, :r] = x[:, :r]
             np.multiply(rg, state, out=xr[:, q:])
             np.matmul(xr, w_xc, out=cand)
             np.tanh(cand, out=cand)
@@ -521,19 +602,23 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             state *= u
             state += cand
 
+    _run_blocks(n_blocks, forward, [(*kt, x) for kt, x in zip(kept, xrh)])
+    xh, ur, c = kept[0]
+
     def bwd(grad):
-        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the
-        # steps and row blocks: dV, then the bias gradients, then the state
-        # rows' gradients
-        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
-        t_ur, t_c = np.empty_like(g_ur), np.empty_like(g_c)
-        # one set of block-sized buffers for the whole replay
-        dh_, gu_, dc_, drh_, du_ = (_empty((rows, k)) for _ in range(5))
-        dz_, dsig_ = _empty((rows, 2 * k)), _empty((rows, 2 * k))
-        for s, e in blocks:
+        # per block, [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed
+        # over the steps: dV, then the bias gradients, then the state rows'
+        # gradients
+        g_ur = _empty((n_blocks, q + k, 2 * k))
+        g_c = _empty(g_ur.shape[:2] + (k,))
+        g_ur[...] = 0.0
+        g_c[...] = 0.0
+
+        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c):
+            s, e = blocks[j]
             b = e - s
-            dh, gu, dc, drh, du = dh_[:b], gu_[:b], dc_[:b], drh_[:b], du_[:b]
-            dz, dsig, xr = dz_[:b], dsig_[:b], xrh[:b]
+            dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
+            du, dz, dsig, xr = du_[:b], dz_[:b], dsig_[:b], xr_[:b]
             dh[...] = grad[s:e]
             for t in reversed(range(n_steps)):
                 x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
@@ -555,15 +640,25 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                 np.subtract(1.0, z, out=dsig)
                 dsig *= z
                 dz *= dsig
-                g_ur += np.matmul(x.T, dz, out=t_ur)
+                g_ur[j] += np.matmul(x.T, dz, out=t_ur)
                 xr[:, :r] = x[:, :r]
                 np.multiply(rg, h, out=xr[:, q:])
-                g_c += np.matmul(xr.T, dc, out=t_c)
+                g_c[j] += np.matmul(xr.T, dc, out=t_c)
                 if t:
                     np.matmul(dz, w_ur[q:].T, out=dh)
                     dh += gu
                     np.multiply(drh, rg, out=gu)
                     dh += gu
+
+        # block-sized scratch per thread, drawn here, not on the workers
+        shapes = [(rows, k)] * 5 + [(rows, 2 * k)] * 2 + [g_ur.shape[1:],
+                                                          g_c.shape[1:]]
+        _run_blocks(n_blocks, replay,
+                    [(x, *map(_empty, shapes)) for x in xrh])
+        for j in range(1, n_blocks):  # in block order
+            g_ur[0] += g_ur[j]
+            g_c[0] += g_c[j]
+        g_ur, g_c = g_ur[0], g_c[0]
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T

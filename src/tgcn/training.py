@@ -4,7 +4,6 @@ evaluation and best-checkpoint tracking."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +103,7 @@ def clip_gradients(params, max_norm):
                 p.grad *= factor
 
 
-def _eval_threads():
+def _threads():
     value = os.environ.get("TGCN_THREADS", "1")
     if not value.isdecimal() or int(value) < 1:
         raise ConfigError(f"TGCN_THREADS is not a positive integer: {value!r}")
@@ -113,25 +112,16 @@ def _eval_threads():
 
 def predict_windows(model, inputs):
     """Predictions (count, n, horizon) for a stack of windows, made in
-    chunks of max(1, EVAL_ROWS // n_nodes) windows and written in order, so
-    evaluation holds one chunk's state per thread, not the whole split's.
-    With TGCN_THREADS (default 1) above 1 the same chunks run on that many
-    threads; the thread count only decides which thread runs a chunk, so
-    the predictions do not depend on it."""
-    workers = _eval_threads()
+    chunks of max(1, EVAL_ROWS // n_nodes) windows, one after another, and
+    written in order, so evaluation holds one chunk's state, not the whole
+    split's. With TGCN_THREADS (default 1) above 1, each chunk's recurrence
+    runs its row blocks on that many threads, this one included
+    (`autodiff.threads`); the predictions do not depend on the count."""
     size = max(1, EVAL_ROWS // model.n_nodes)
     out = np.empty((len(inputs), model.n_nodes, model.horizon))
-
-    def predict_chunk(start):  # chunks write disjoint rows of out
-        out[start:start + size] = model.predict(inputs[start:start + size])
-
-    starts = range(0, len(inputs), size)
-    if workers == 1:
-        for start in starts:
-            predict_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(predict_chunk, starts))  # re-raises a chunk's error
+    with ad.threads(_threads()):
+        for start in range(0, len(inputs), size):
+            out[start:start + size] = model.predict(inputs[start:start + size])
     return out
 
 
@@ -179,8 +169,13 @@ def train(model, train_windows, test_windows, dataset, config):
     `BufferPool` that keeps one batch size's buffers: a step of another size
     (the short last batch) starts a new pool, and the pool is dropped
     before each evaluation: a recording step's buffers are far larger than
-    what evaluation needs, one chunk's `no_grad` state per thread, which
-    `predict` allocates without a pool.
+    what evaluation needs, one chunk's `no_grad` state, which `predict`
+    allocates without a pool.
+
+    The recurrence runs its row blocks on TGCN_THREADS threads (default 1),
+    this one included, in the steps and the evaluations alike, from workers
+    started once per call (`autodiff.threads`); the results do not depend
+    on the count.
     """
     n_windows = len(train_windows)
     if n_windows == 0:
@@ -189,7 +184,6 @@ def train(model, train_windows, test_windows, dataset, config):
             f"split at index {dataset.split_index} needs the split above "
             f"seq_len + horizon = {model.seq_len + model.horizon} "
             f"(seq_len={model.seq_len}, horizon={model.horizon})")
-    _eval_threads()  # a bad TGCN_THREADS fails now, not at the first eval
     params = model.parameters()
     weights = model.weight_parameters()
     opt = Adam(params, lr=config.lr)
@@ -201,51 +195,54 @@ def train(model, train_windows, test_windows, dataset, config):
     best_epoch = 0
     pool, pool_batch = None, 0
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_windows)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n_windows, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch_in = train_windows.inputs[idx]
-            # node-major, like the rows of the forward pass
-            batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
-            batch_tg = batch_tg.reshape(-1, model.horizon)
-            where = f"epoch {epoch}, batch {n_batches + 1}"
-            if pool is None or len(idx) != pool_batch:
-                pool, pool_batch = ad.BufferPool(), len(idx)
-            opt.zero_grad()
-            with ad.reusing(pool):
-                pred = model.forward(batch_in)
-                batch_loss = loss(pred, batch_tg, weights, config.weight_decay)
-                lval = float(batch_loss.data)
-                if not np.isfinite(lval):
-                    raise TrainingDiverged(f"non-finite loss at {where}")
-                batch_loss.backward()
-            # free this step's tape now, not when the next forward rebinds
-            # the names, so that two tapes are never alive at once and the
-            # next step finds the pool's buffers free
-            del pred, batch_loss
-            clip_gradients(params, config.clip)
-            try:
-                opt.step()
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{where}: {exc}") from exc
-            epoch_loss += lval
-            n_batches += 1
-        row = {"epoch": epoch, "train_loss": epoch_loss / n_batches,
-               **dict.fromkeys(SCORES)}
-        history.append(row)
+    with ad.threads(_threads()):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n_windows)
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, n_windows, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                batch_in = train_windows.inputs[idx]
+                # node-major, like the rows of the forward pass
+                batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
+                batch_tg = batch_tg.reshape(-1, model.horizon)
+                where = f"epoch {epoch}, batch {n_batches + 1}"
+                if pool is None or len(idx) != pool_batch:
+                    pool, pool_batch = ad.BufferPool(), len(idx)
+                opt.zero_grad()
+                with ad.reusing(pool):
+                    pred = model.forward(batch_in)
+                    batch_loss = loss(pred, batch_tg, weights,
+                                      config.weight_decay)
+                    lval = float(batch_loss.data)
+                    if not np.isfinite(lval):
+                        raise TrainingDiverged(f"non-finite loss at {where}")
+                    batch_loss.backward()
+                # free this step's tape now, not when the next forward
+                # rebinds the names, so that two tapes are never alive at
+                # once and the next step finds the pool's buffers free
+                del pred, batch_loss
+                clip_gradients(params, config.clip)
+                try:
+                    opt.step()
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(f"{where}: {exc}") from exc
+                epoch_loss += lval
+                n_batches += 1
+            row = {"epoch": epoch, "train_loss": epoch_loss / n_batches,
+                   **dict.fromkeys(SCORES)}
+            history.append(row)
 
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            # evaluation needs one chunk's buffers, not the step's larger ones
-            pool = None
-            report = evaluate(model, test_windows, dataset)
-            row.update((k, getattr(report, k)) for k in SCORES)
-            if report.rmse < best_rmse:
-                best_rmse = report.rmse
-                best_params = _snapshot(params)
-                best_epoch = epoch
+            if epoch % config.eval_every == 0 or epoch == config.epochs:
+                # evaluation needs one chunk's buffers, not the step's
+                # larger ones
+                pool = None
+                report = evaluate(model, test_windows, dataset)
+                row.update((k, getattr(report, k)) for k in SCORES)
+                if report.rmse < best_rmse:
+                    best_rmse = report.rmse
+                    best_params = _snapshot(params)
+                    best_epoch = epoch
 
     return TrainResult(history=history, best_params=best_params,
                        best_epoch=best_epoch)

@@ -1,5 +1,6 @@
 import itertools
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -362,6 +363,107 @@ def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
 
     report = gradcheck(f, [x for x in xs if x.requires_grad], tol=1e-7)
     assert report.passed, report.per_input
+
+
+def _threads_seen(monkeypatch, pause):
+    """The threads that run gru_unroll's steps from now on, recorded by
+    wrapping the gate function every forward step calls, which then sleeps
+    ``pause`` seconds so that the blocks spread over the threads."""
+    seen, sigmoid = set(), ad._sigmoid_values
+
+    def recorded(v, out=None):
+        seen.add(threading.get_ident())
+        time.sleep(pause)
+        return sigmoid(v, out)
+
+    monkeypatch.setattr(ad, "_sigmoid_values", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("record", [False, True])
+def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
+    # 11 rows in 3 blocks of 3, 4 and 4 rows
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(34)
+    m = 2 * BLOCK + 3
+    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2)
+    weight = Tensor(rng.standard_normal((m, 2)))
+
+    def run():
+        for x in xs:
+            x.zero_grad()
+        if not record:
+            with ad.no_grad():
+                return [ad.gru_unroll(feats, *xs).data]
+        out = ad.gru_unroll(feats, *xs)
+        ad.tensor_sum(out * weight).backward()
+        return [out.data] + [x.grad for x in xs if x.requires_grad]
+
+    serial = run()
+    seen = _threads_seen(monkeypatch, 0.002)
+    pool = PoisonPool()  # a buffer read before it is written shows as NaN
+    with ad.threads(count), ad.reusing(pool):
+        threaded = run()
+    assert 1 < len(seen) <= count
+    assert pool.drawn > 0
+    assert len(threaded) == (8 if record else 1)
+    for want, got in zip(serial, threaded):
+        assert got.tobytes() == want.tobytes()
+    seen.clear()
+    run()  # the binding ended with the block
+    assert seen == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("on_worker", [False, True])
+def test_gru_unroll_reraises_a_block_error_once_every_thread_stopped(
+        monkeypatch, on_worker):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    n_blocks, n_steps = 8, 2
+    feats, xs = unroll_inputs(np.random.default_rng(35), n_steps,
+                              n_blocks * BLOCK, 2, 2, 3)
+    caller, sigmoid = threading.get_ident(), ad._sigmoid_values
+    calls, running = [], []
+
+    def failing(v, out=None):
+        calls.append(None)
+        running.append(None)
+        try:
+            time.sleep(0.002)  # the blocks spread over the threads
+            if (threading.get_ident() != caller) == on_worker:
+                raise FloatingPointError("gate")
+            return sigmoid(v, out)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(ad, "_sigmoid_values", failing)
+    with ad.threads(3):  # whose end would wait for the workers
+        with pytest.raises(FloatingPointError, match="gate"):
+            ad.gru_unroll(feats, *xs)
+        assert not running  # no thread still runs a step
+    if not on_worker:
+        # this thread fails in its first block, and the two workers then
+        # finish the block they hold and take no other: about 5 calls,
+        # against the 15 of running every block
+        assert len(calls) <= 1 + 2 * 2 * n_steps
+
+
+def test_threads_binding_is_per_thread_and_kept_when_nested():
+    with ad.threads(2):
+        executor = ad._local.executor
+        with ad.threads(2):  # the same count: the same workers
+            assert ad._local.executor is executor
+        with ad.threads(3):
+            assert ad._local.threads == 3
+            assert ad._local.executor is not executor
+        assert ad._local.executor is executor
+        other = []
+        thread = threading.Thread(target=lambda: other.append(
+            (ad._local.threads, ad._local.executor)))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and other == [(1, None)]
+    assert (ad._local.threads, ad._local.executor) == (1, None)
 
 
 def test_gru_unroll_refuses_an_h0_that_requires_grad():

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ from tgcn import data, training
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ConfigError, ShapeError, TrainingDiverged
 from tgcn.graph import build_propagation
-from tgcn.models import SequenceModel
+from tgcn.models import SequenceModel, save_checkpoint
 from tgcn.training import (Adam, TrainConfig, clip_gradients, evaluate, loss,
                            predict_windows, train, write_history)
 
@@ -220,12 +221,16 @@ def test_evaluate_on_denormalized_scale():
 
 
 # evaluation chunks of 3 windows of the 10-node ring, so that its test split
-# runs as several chunks on several threads
+# runs as several chunks
 CHUNK_ROWS = 30
+# a row block that splits a 30-row chunk and a 160-row batch of the ring
+# into several, so that the recurrence runs on several threads
+RING_BLOCK = 8
 
 
 def test_threaded_evaluation_matches_serial(monkeypatch):
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
     model.init_parameters(5)
@@ -310,24 +315,52 @@ def test_nonfinite_gradient_names_epoch_and_batch(monkeypatch):
         train(model, train_ws, test_ws, ds, config)
 
 
-def _threaded_history(monkeypatch, threads):
+def _threaded_run(monkeypatch, tmp_path, threads):
+    """History, final checkpoint bytes and best parameters of a T-GCN
+    training run at TGCN_THREADS=threads, and the threads that ran the
+    recurrence of its training steps."""
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
     model.init_parameters(6)
     config = TrainConfig(lr=0.01, batch_size=16, epochs=10, seed=6,
                          eval_every=1)
     monkeypatch.setenv("TGCN_THREADS", str(threads))
-    return train(model, train_ws, test_ws, ds, config).history
+    seen, stepping = set(), []
+    sigmoid, forward = ad._sigmoid_values, model.forward
+
+    def recorded(v, out=None):
+        if any(stepping):
+            seen.add(threading.get_ident())
+        return sigmoid(v, out)
+
+    def step_forward(windows):  # predict's forward runs under no_grad
+        stepping.append(ad.is_grad_enabled())
+        try:
+            return forward(windows)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(ad, "_sigmoid_values", recorded)
+    model.forward = step_forward
+    result = train(model, train_ws, test_ws, ds, config)
+    path = tmp_path / f"{threads}.ckpt"
+    save_checkpoint(model, path)
+    best = b"".join(p.tobytes() for p in result.best_params.values())
+    return (result.history, path.read_bytes(), best), seen
 
 
-def test_threaded_training_matches_serial(monkeypatch):
+def test_threaded_training_matches_serial(monkeypatch, tmp_path):
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
-    serial = _threaded_history(monkeypatch, 1)
+    monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
+    serial, seen = _threaded_run(monkeypatch, tmp_path, 1)
+    assert seen == {threading.get_ident()}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
+    sys.setswitchinterval(1e-6)  # interleave the recurrence's threads often
     try:
         for threads in (2, 4):
-            assert _threaded_history(monkeypatch, threads) == serial, threads
+            run, seen = _threaded_run(monkeypatch, tmp_path, threads)
+            assert run == serial, threads
+            assert threading.get_ident() in seen and len(seen) > 1
     finally:
         sys.setswitchinterval(interval)
 
@@ -392,6 +425,39 @@ def test_chunked_predictions_match_one_predict_call(monkeypatch, kind):
     chunked = predict_windows(model, test_ws.inputs)
     assert chunked.shape == whole.shape
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_threaded_predict_windows_runs_one_chunk_at_a_time(monkeypatch):
+    # the threads share each chunk's row blocks; no chunk runs beside
+    # another, so memory does not grow with the thread count
+    monkeypatch.setattr(training, "EVAL_ROWS", 200)
+    monkeypatch.setattr(ad, "ROW_BLOCK", 4)
+    model = SequenceModel("tgcn", 10, 64, 4, 1,
+                          propagation=build_propagation(ring_adjacency()))
+    model.init_parameters(0)
+    windows = np.random.default_rng(39).random((160, 4, 10))
+    predict, callers = model.predict, set()
+
+    def recorded(chunk):
+        callers.add(threading.get_ident())
+        return predict(chunk)
+
+    model.predict = recorded
+
+    def peak(threads):
+        monkeypatch.setenv("TGCN_THREADS", str(threads))
+        predict_windows(model, windows)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = predict_windows(model, windows)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (serial, serial_peak), (threaded, threaded_peak) = peak(1), peak(2)
+    assert callers == {threading.get_ident()}
+    assert threaded.tobytes() == serial.tobytes()
+    assert threaded_peak <= 1.1 * serial_peak, threaded_peak / serial_peak
 
 
 def test_predict_windows_memory_does_not_grow_with_window_count(monkeypatch):
