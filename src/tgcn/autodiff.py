@@ -15,10 +15,12 @@ allocating them, so a training loop's steps share memory.
 
 While worker threads are bound on a thread (``threads``), ``gru_unroll``
 runs its row blocks, forward and backward, on them and on the calling
-thread, each thread taking the next block when it finishes one. The
-calling thread draws every buffer the threads use and waits for all of
-them, and the weight gradients are summed per block and added in block
-order, so the results do not depend on the number of threads.
+thread, each thread taking the next block when it finishes one, and
+``run_blocks`` runs any such list of tasks, as evaluation does with its
+chunks. The calling thread draws every buffer the recurrence's threads use
+and waits for all of them, and the weight gradients are summed per block
+and added in block order, so the results do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class _ThreadState(threading.local):
     # thread serve no other thread
     enabled = True
     pool = None
-    threads = 1  # gru_unroll's threads, this one included
+    threads = 1  # run_blocks' threads, this one included
     executor = None  # the threads - 1 workers
 
 
@@ -122,11 +124,12 @@ def _empty(shape):
 
 @contextmanager
 def threads(count):
-    """Run the row blocks of the ``gru_unroll`` calls made on this thread
-    inside the block on ``count`` threads, this one included: ``count`` − 1
-    workers start here and stop when the block ends. A binding of the same
-    count already in place is kept, so code that binds its threads can run
-    inside code that bound them first, on the same workers."""
+    """Run the blocks of the ``gru_unroll`` and ``run_blocks`` calls made on
+    this thread inside the block on ``count`` threads, this one included:
+    ``count`` − 1 workers start here and stop when the block ends. A
+    binding of the same count already in place is kept, so code that binds
+    its threads can run inside code that bound them first, on the same
+    workers."""
     if count == _local.threads:
         yield
         return
@@ -140,14 +143,20 @@ def threads(count):
             _local.threads, _local.executor = prev
 
 
-def _run_blocks(n_blocks, task, scratch):
+def run_blocks(n_blocks, task, scratch=None):
     """task(j, *own) for every block j in range(n_blocks), on this thread
-    and the bound workers, one thread per tuple ``own`` of ``scratch``. A
-    thread takes the next block whenever it finishes one, so a thread
-    slowed by other load runs fewer. Returns once every thread has
-    finished, so that no worker still writes to a buffer when its caller
-    goes on, and re-raises this thread's error, or else the first
-    worker's; after an error here the workers take no further block."""
+    and the bound workers, one thread per tuple ``own`` of ``scratch``
+    (None: no scratch, and as many threads as the binding and the blocks
+    allow). A thread takes the next block, in block order, whenever it
+    finishes one, so a thread slowed by other load runs fewer. While
+    workers help, this thread runs its blocks without its binding: the
+    workers are busy here, so a task that runs blocks itself runs them on
+    its own thread. Returns once every thread has finished, so that no
+    worker still writes to a buffer when its caller goes on, and re-raises
+    this thread's error, or else the first worker's; after an error here
+    the workers take no further block."""
+    if scratch is None:
+        scratch = [()] * max(1, min(n_blocks, _local.threads))
     blocks, lock = iter(range(n_blocks)), threading.Lock()
 
     def run(*own):
@@ -160,7 +169,8 @@ def _run_blocks(n_blocks, task, scratch):
 
     futures = [_local.executor.submit(run, *own) for own in scratch[1:]]
     try:
-        run(*scratch[0])
+        with threads(1) if futures else nullcontext():
+            run(*scratch[0])
     finally:
         with lock:
             for _ in blocks:
@@ -270,6 +280,13 @@ def _lift(x):
 
 def _recording(inputs):
     return is_grad_enabled() and any(t.requires_grad for t in inputs)
+
+
+def _ones_column(shape, col):
+    """A buffer from ``_empty`` whose column ``col`` is 1.0."""
+    buf = _empty(shape)
+    buf[:, col] = 1.0
+    return buf
 
 
 def _sigmoid_values(v, out=None):
@@ -503,12 +520,11 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         h   <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
     and the result is h after step L. No row's update reads another row,
-    so the rows run in blocks of at most ROW_BLOCK, and each block runs all
-    L steps before the next block starts: the buffers a step touches stay in
-    cache across the window instead of streaming all m rows from memory on
-    every step. The blocks run on the threads bound with ``threads``, the
-    calling thread included, each taking the next block when it finishes
-    one.
+    so the rows run in blocks of ROW_BLOCK (the last one shorter), and each
+    block runs all L steps before the next block starts: the buffers a step
+    touches stay in cache across the window instead of streaming all m rows
+    from memory on every step. The blocks run on the threads bound with
+    ``threads`` (``run_blocks``), the calling thread included.
 
     A block's state lives only in its rows of the result, set from h0 and
     updated in place; each step copies feats_t and the state into its
@@ -517,13 +533,15 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     keeps h_{t−1} for the backward, and r∘h goes to a block-sized
     [feats_t | 1 | r∘h] per thread; else each thread's steps reuse one
     block-sized set of the three and r∘h overwrites the copy of h.
-    The backward replays each row block's steps in reverse with block-sized
-    scratch per thread, and forms no state gradient at the first step, since
-    h0 is a constant. Its GEMMs with the same left operands sum
-    dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients dz_t, the
-    bias gradients and the state rows' gradients, over each block's steps;
-    the blocks' sums are then added in block order. lift gets dV·W_gᵀ and
-    W_g gets liftᵀ·dV.
+    The backward runs on the threads bound when it runs, which need not be
+    the forward's. It replays each row block's steps in reverse with
+    block-sized scratch per thread, and forms no state gradient at the
+    first step, since h0 is a constant. Its GEMMs with the same left
+    operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients
+    dz_t, the bias gradients and the state rows' gradients, over each
+    block's steps into one sum per thread, which is added to the total in
+    block order: a thread that finishes a block before an earlier one waits
+    for it. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -551,15 +569,10 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
-    # as few blocks as ROW_BLOCK allows (one if there are no rows), equal to
-    # within a row, so that no short block is left for the end; the blocks
-    # do not depend on the number of threads
-    n_blocks = max(1, -(-m // ROW_BLOCK))
-    bounds = [i * m // n_blocks for i in range(n_blocks + 1)]
-    blocks = list(zip(bounds, bounds[1:]))
-    rows = -(-m // n_blocks)  # the tallest block
-    n_threads = min(n_blocks, _local.threads)
+    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
+    rows = min(m, ROW_BLOCK)  # the tallest block
     out = _empty((m, k))
+    n_threads = max(1, min(len(blocks), _local.threads))
     # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
     # recording, which the threads share, else one block's rows per
     # thread, reused by every step
@@ -570,11 +583,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         kept = [[_empty((1, rows, w)) for w in widths]
                 for _ in range(n_threads)]
     # [feats_t | 1 | r∘h] per thread when recording
-    xrh = [_empty((rows, q + k)) if record else None
+    xrh = [_ones_column((rows, q + k), r) if record else None
            for _ in range(n_threads)]
-    if record:
-        for xr in xrh:
-            xr[:, r] = 1.0
 
     def forward(j, xh, ur, c, xr_):
         s, e = blocks[j]
@@ -602,63 +612,79 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             state *= u
             state += cand
 
-    _run_blocks(n_blocks, forward, [(*kt, x) for kt, x in zip(kept, xrh)])
+    run_blocks(len(blocks), forward, [(*kt, x) for kt, x in zip(kept, xrh)])
     xh, ur, c = kept[0]
 
     def bwd(grad):
-        # per block, [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed
-        # over the steps: dV, then the bias gradients, then the state rows'
-        # gradients
-        g_ur = _empty((n_blocks, q + k, 2 * k))
-        g_c = _empty(g_ur.shape[:2] + (k,))
-        g_ur[...] = 0.0
-        g_c[...] = 0.0
+        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the
+        # steps and row blocks: dV, then the bias gradients, then the state
+        # rows' gradients
+        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
+        turn = threading.Condition()
+        added, failed = 0, False  # blocks added to g_ur and g_c; an error
 
-        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c):
+        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c,
+                   s_ur, s_c):
+            nonlocal added, failed
             s, e = blocks[j]
             b = e - s
             dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
             du, dz, dsig, xr = du_[:b], dz_[:b], dsig_[:b], xr_[:b]
-            dh[...] = grad[s:e]
-            for t in reversed(range(n_steps)):
-                x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
-                h, u, rg = x[:, q:], z[:, :k], z[:, k:]
-                np.multiply(dh, u, out=gu)
-                # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
-                np.subtract(dh, gu, out=dc)
-                np.multiply(cand, cand, out=drh)
-                np.subtract(1.0, drh, out=drh)
-                dc *= drh
-                np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
-                # the update and reset pre-activations side by side,
-                # through σ' = σ(1 − σ)
-                # (h − c)∘dh on contiguous rows, not on dz's column slice
-                np.subtract(h, cand, out=du)
-                du *= dh
-                dz[:, :k] = du
-                np.multiply(drh, h, out=dz[:, k:])
-                np.subtract(1.0, z, out=dsig)
-                dsig *= z
-                dz *= dsig
-                g_ur[j] += np.matmul(x.T, dz, out=t_ur)
-                xr[:, :r] = x[:, :r]
-                np.multiply(rg, h, out=xr[:, q:])
-                g_c[j] += np.matmul(xr.T, dc, out=t_c)
-                if t:
-                    np.matmul(dz, w_ur[q:].T, out=dh)
-                    dh += gu
-                    np.multiply(drh, rg, out=gu)
-                    dh += gu
+            try:
+                dh[...] = grad[s:e]
+                s_ur[...] = 0.0
+                s_c[...] = 0.0
+                for t in reversed(range(n_steps)):
+                    x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
+                    h, u, rg = x[:, q:], z[:, :k], z[:, k:]
+                    np.multiply(dh, u, out=gu)
+                    # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
+                    np.subtract(dh, gu, out=dc)
+                    np.multiply(cand, cand, out=drh)
+                    np.subtract(1.0, drh, out=drh)
+                    dc *= drh
+                    np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
+                    # the update and reset pre-activations side by side,
+                    # through σ' = σ(1 − σ)
+                    # (h − c)∘dh on contiguous rows, not on dz's column slice
+                    np.subtract(h, cand, out=du)
+                    du *= dh
+                    dz[:, :k] = du
+                    np.multiply(drh, h, out=dz[:, k:])
+                    np.subtract(1.0, z, out=dsig)
+                    dsig *= z
+                    dz *= dsig
+                    s_ur += np.matmul(x.T, dz, out=t_ur)
+                    xr[:, :r] = x[:, :r]
+                    np.multiply(rg, h, out=xr[:, q:])
+                    s_c += np.matmul(xr.T, dc, out=t_c)
+                    if t:
+                        np.matmul(dz, w_ur[q:].T, out=dh)
+                        dh += gu
+                        np.multiply(drh, rg, out=gu)
+                        dh += gu
+            except BaseException:
+                with turn:
+                    failed = True  # the blocks after this one wait no more
+                    turn.notify_all()
+                raise
+            with turn:
+                turn.wait_for(lambda: failed or added == j)
+                if not failed:
+                    np.add(g_ur, s_ur, out=g_ur)
+                    np.add(g_c, s_c, out=g_c)
+                    added += 1
+                turn.notify_all()
 
-        # block-sized scratch per thread, drawn here, not on the workers
-        shapes = [(rows, k)] * 5 + [(rows, 2 * k)] * 2 + [g_ur.shape[1:],
-                                                          g_c.shape[1:]]
-        _run_blocks(n_blocks, replay,
-                    [(x, *map(_empty, shapes)) for x in xrh])
-        for j in range(1, n_blocks):  # in block order
-            g_ur[0] += g_ur[j]
-            g_c[0] += g_c[j]
-        g_ur, g_c = g_ur[0], g_c[0]
+        def own():
+            # a thread's block-sized scratch, then its products and sums of
+            # the gradients above, drawn here, not on the workers
+            return (_ones_column((rows, q + k), r),
+                    *map(_empty, [(rows, k)] * 5 + [(rows, 2 * k)] * 2),
+                    *map(np.empty_like, (g_ur, g_c) * 2))
+
+        n_threads = max(1, min(len(blocks), _local.threads))
+        run_blocks(len(blocks), replay, [own() for _ in range(n_threads)])
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T

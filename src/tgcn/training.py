@@ -112,16 +112,22 @@ def _threads():
 
 def predict_windows(model, inputs):
     """Predictions (count, n, horizon) for a stack of windows, made in
-    chunks of max(1, EVAL_ROWS // n_nodes) windows, one after another, and
-    written in order, so evaluation holds one chunk's state, not the whole
-    split's. With TGCN_THREADS (default 1) above 1, each chunk's recurrence
-    runs its row blocks on that many threads, this one included
-    (`autodiff.threads`); the predictions do not depend on the count."""
+    chunks of max(1, EVAL_ROWS // n_nodes) windows, each written to its own
+    rows of the result, so evaluation holds one chunk's state per thread,
+    not the whole split's. With TGCN_THREADS (default 1) above 1 the chunks
+    run on that many threads, this one included, each chunk on one thread
+    (`autodiff.run_blocks`); a lone chunk runs its recurrence's row blocks
+    on them instead. The chunks do not depend on the count, and neither do
+    the predictions."""
     size = max(1, EVAL_ROWS // model.n_nodes)
     out = np.empty((len(inputs), model.n_nodes, model.horizon))
+
+    def predict_chunk(j):  # chunks write disjoint rows of out
+        rows = slice(j * size, (j + 1) * size)
+        out[rows] = model.predict(inputs[rows])
+
     with ad.threads(_threads()):
-        for start in range(0, len(inputs), size):
-            out[start:start + size] = model.predict(inputs[start:start + size])
+        ad.run_blocks(-(-len(inputs) // size), predict_chunk)
     return out
 
 
@@ -169,13 +175,13 @@ def train(model, train_windows, test_windows, dataset, config):
     `BufferPool` that keeps one batch size's buffers: a step of another size
     (the short last batch) starts a new pool, and the pool is dropped
     before each evaluation: a recording step's buffers are far larger than
-    what evaluation needs, one chunk's `no_grad` state, which `predict`
-    allocates without a pool.
+    what evaluation needs, one chunk's `no_grad` state per thread, which
+    `predict` allocates without a pool.
 
-    The recurrence runs its row blocks on TGCN_THREADS threads (default 1),
-    this one included, in the steps and the evaluations alike, from workers
-    started once per call (`autodiff.threads`); the results do not depend
-    on the count.
+    The steps run the recurrence's row blocks, and the evaluations their
+    chunks, on TGCN_THREADS threads (default 1), this one included, from
+    workers started once per call (`autodiff.threads`); the results do not
+    depend on the count.
     """
     n_windows = len(train_windows)
     if n_windows == 0:

@@ -383,7 +383,7 @@ def _threads_seen(monkeypatch, pause):
 @pytest.mark.parametrize("count", [2, 3])
 @pytest.mark.parametrize("record", [False, True])
 def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
-    # 11 rows in 3 blocks of 3, 4 and 4 rows
+    # 11 rows in 3 blocks of 4, 4 and 3 rows
     monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
     rng = np.random.default_rng(34)
     m = 2 * BLOCK + 3
@@ -413,6 +413,94 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
     seen.clear()
     run()  # the binding ended with the block
     assert seen == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("counts", [(2, 1), (1, 3), (3, 2)])
+def test_gru_unroll_backward_runs_on_the_threads_bound_when_it_runs(
+        monkeypatch, counts):
+    # a tape may outlive the binding its forward ran in, or meet another
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(36)
+    m = 2 * BLOCK + 3
+    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2)
+    weight = Tensor(rng.standard_normal((m, 2)))
+
+    def grads(forward_count, backward_count):
+        for x in xs:
+            x.zero_grad()
+        with ad.threads(forward_count):
+            loss = ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
+        with ad.threads(backward_count):
+            loss.backward()
+        return [x.grad for x in xs if x.requires_grad]
+
+    serial = grads(1, 1)
+    for want, got in zip(serial, grads(*counts)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _gate_rows(grad, action):
+    """grad as an array whose slices call action(first row) before they
+    are read: gru_unroll's backward reads its gradient one block at a
+    time."""
+    class Gated(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                action(key.start)
+            return super().__getitem__(key)
+
+    return grad.view(Gated)
+
+
+def _unroll_backward(xs, feats, count, grad):
+    for x in xs:
+        x.zero_grad()
+    out = ad.gru_unroll(feats, *xs)
+    with ad.threads(count):
+        out._backward(grad)
+    return [x.grad for x in xs if x.requires_grad]
+
+
+def test_gru_unroll_backward_adds_block_sums_in_block_order(monkeypatch):
+    # the first block finishes last, and the others wait to add theirs
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(37)
+    feats, xs = unroll_inputs(rng, 3, 4 * BLOCK, 2, 3, 2)
+    grad = rng.standard_normal((4 * BLOCK, 2))
+    serial = _unroll_backward(xs, feats, 1, grad)
+    slow = _gate_rows(grad, lambda start: start or time.sleep(0.05))
+    for want, got in zip(serial, _unroll_backward(xs, feats, 3, slow)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gru_unroll_backward_error_releases_the_blocks_waiting_on_it(
+        monkeypatch):
+    # the workers fail every block, while this thread's first is slow, so
+    # its next would wait forever to add its sums after a failed one
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(38)
+    feats, xs = unroll_inputs(rng, 3, 4 * BLOCK, 2, 3, 2)
+    caller, errors = [], []
+
+    def gate(start):
+        if threading.get_ident() != caller[0]:
+            raise FloatingPointError("block")
+        if start == 0:
+            time.sleep(0.02)
+
+    def run():
+        caller.append(threading.get_ident())
+        try:
+            _unroll_backward(xs, feats, 3, _gate_rows(
+                rng.standard_normal((4 * BLOCK, 2)), gate))
+        except FloatingPointError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(errors) == 1
 
 
 @pytest.mark.parametrize("on_worker", [False, True])

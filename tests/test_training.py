@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -367,9 +368,17 @@ def test_threaded_training_matches_serial(monkeypatch, tmp_path):
 
 def test_recording_stays_on_after_concurrent_predict(monkeypatch):
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
     model.init_parameters(7)
+    predict, callers = model.predict, set()
+
+    def recorded(chunk):
+        callers.add(threading.get_ident())
+        return predict(chunk)
+
+    model.predict = recorded
     monkeypatch.setenv("TGCN_THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -378,6 +387,7 @@ def test_recording_stays_on_after_concurrent_predict(monkeypatch):
             predict_windows(model, test_ws.inputs)
     finally:
         sys.setswitchinterval(interval)
+    assert len(callers) > 1  # the chunks' no_grad blocks overlapped
     assert ad.is_grad_enabled()
     assert model.forward(test_ws.inputs[:1])._backward is not None
 
@@ -427,37 +437,61 @@ def test_chunked_predictions_match_one_predict_call(monkeypatch, kind):
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
-def test_threaded_predict_windows_runs_one_chunk_at_a_time(monkeypatch):
-    # the threads share each chunk's row blocks; no chunk runs beside
-    # another, so memory does not grow with the thread count
+def test_threaded_predict_windows_runs_each_chunk_on_one_thread(monkeypatch):
+    # the chunks run side by side, one per thread at a time, and each runs
+    # its recurrence on its own thread, since the others are busy with
+    # chunks of their own (were this thread's blocks queued behind a
+    # worker's chunks, it would wait for all of them and run just one
+    # chunk itself); a lone chunk spreads its row blocks instead
     monkeypatch.setattr(training, "EVAL_ROWS", 200)
     monkeypatch.setattr(ad, "ROW_BLOCK", 4)
     model = SequenceModel("tgcn", 10, 64, 4, 1,
                           propagation=build_propagation(ring_adjacency()))
     model.init_parameters(0)
-    windows = np.random.default_rng(39).random((160, 4, 10))
-    predict, callers = model.predict, set()
+    windows = np.random.default_rng(39).random((160, 4, 10))  # 8 chunks
+    predict, sigmoid, local = model.predict, ad._sigmoid_values, \
+        threading.local()
+    callers, steps = [], []
 
     def recorded(chunk):
-        callers.add(threading.get_ident())
-        return predict(chunk)
+        callers.append(threading.get_ident())
+        local.predicting = True
+        try:
+            time.sleep(0.005)  # the chunks spread over the threads
+            return predict(chunk)
+        finally:
+            local.predicting = False
+
+    def step(v, out=None):
+        steps.append((threading.get_ident(),
+                      getattr(local, "predicting", False)))
+        return sigmoid(v, out)
 
     model.predict = recorded
+    monkeypatch.setattr(ad, "_sigmoid_values", step)
 
-    def peak(threads):
+    def peak(threads, count):
         monkeypatch.setenv("TGCN_THREADS", str(threads))
-        predict_windows(model, windows)  # first-call allocations
+        predict_windows(model, windows[:count])  # first-call allocations
+        callers.clear()
+        steps.clear()
         tracemalloc.start()
         try:
-            out = predict_windows(model, windows)
+            out = predict_windows(model, windows[:count])
             return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    (serial, serial_peak), (threaded, threaded_peak) = peak(1), peak(2)
-    assert callers == {threading.get_ident()}
+    (serial, serial_peak), (threaded, threaded_peak) = peak(1, 160), peak(2, 160)
     assert threaded.tobytes() == serial.tobytes()
-    assert threaded_peak <= 1.1 * serial_peak, threaded_peak / serial_peak
+    assert len(set(callers)) == 2
+    assert callers.count(threading.get_ident()) >= 2
+    assert all(predicting for _, predicting in steps)
+    assert threaded_peak <= 2.2 * serial_peak, threaded_peak / serial_peak
+    lone, _ = peak(2, 20)
+    assert lone.tobytes() == serial[:20].tobytes()
+    assert callers == [threading.get_ident()]
+    assert len({thread for thread, _ in steps}) == 2
 
 
 def test_predict_windows_memory_does_not_grow_with_window_count(monkeypatch):
