@@ -449,9 +449,8 @@ def test_threaded_predict_windows_runs_each_chunk_on_one_thread(monkeypatch):
                           propagation=build_propagation(ring_adjacency()))
     model.init_parameters(0)
     windows = np.random.default_rng(39).random((160, 4, 10))  # 8 chunks
-    predict, sigmoid, local = model.predict, ad._sigmoid_values, \
-        threading.local()
-    callers, steps = [], []
+    predict, sigmoid = model.predict, ad._sigmoid_values
+    local, callers, steps, pause = threading.local(), [], [], [0.0]
 
     def recorded(chunk):
         callers.append(threading.get_ident())
@@ -465,6 +464,7 @@ def test_threaded_predict_windows_runs_each_chunk_on_one_thread(monkeypatch):
     def step(v, out=None):
         steps.append((threading.get_ident(),
                       getattr(local, "predicting", False)))
+        time.sleep(pause[0])
         return sigmoid(v, out)
 
     model.predict = recorded
@@ -482,12 +482,14 @@ def test_threaded_predict_windows_runs_each_chunk_on_one_thread(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    (serial, serial_peak), (threaded, threaded_peak) = peak(1, 160), peak(2, 160)
+    serial, serial_peak = peak(1, 160)
+    threaded, threaded_peak = peak(2, 160)
     assert threaded.tobytes() == serial.tobytes()
     assert len(set(callers)) == 2
     assert callers.count(threading.get_ident()) >= 2
     assert all(predicting for _, predicting in steps)
     assert threaded_peak <= 2.2 * serial_peak, threaded_peak / serial_peak
+    pause[0] = 0.0005  # the lone chunk's blocks spread over the threads
     lone, _ = peak(2, 20)
     assert lone.tobytes() == serial[:20].tobytes()
     assert callers == [threading.get_ident()]
