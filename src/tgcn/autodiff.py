@@ -117,9 +117,9 @@ def reusing(pool):
         _local.pool = prev
 
 
-def _empty(shape):
+def _empty(shape, dtype=np.float64):
     pool = _local.pool
-    return np.empty(shape) if pool is None else pool.empty(shape)
+    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
 
 
 @contextmanager
@@ -430,12 +430,13 @@ def relu(x):
 def relu_mlp(x, w0, w1):
     """relu(x·w0)·w1 for a constant (m, d) array x, as a single tape node.
 
-    The rows run in blocks of ROW_BLOCK, and the forward keeps nothing of
-    height m but the (m, o) result: a block's activation a = x·w0 lives in
-    one block-sized scratch. The backward recomputes it per block and turns
-    it in place into the 0/1 mask M of the ReLU, 0 at the kink, so an entry
-    of x·w0 that is exactly 0 passes no gradient. Rather than form the
-    (m, hidden) gradient M∘(g·w1ᵀ), it sums the o products
+    The rows run in blocks of ROW_BLOCK, and a block's activation a = x·w0
+    lives in one block-sized scratch. When recording, the forward also
+    keeps the ReLU's mask a > 0 as an (m, hidden) bool array, 0 at the
+    kink, so an entry of x·w0 that is exactly 0 passes no gradient; under
+    ``no_grad`` it keeps nothing of height m but the (m, o) result. The
+    backward copies each block's mask into a 0/1 float scratch M. Rather
+    than form the (m, hidden) gradient M∘(g·w1ᵀ), it sums the o products
     G_j = (x∘g_j)ᵀ·M over the blocks, as one GEMM on a (rows, o·d) scratch,
     and gets both weight gradients from them:
 
@@ -454,8 +455,11 @@ def relu_mlp(x, w0, w1):
     rows = min(m, ROW_BLOCK)  # the tallest block
     out = _empty((m, o))
     act = _empty((rows, hidden))
+    mask = _empty((m, hidden), np.bool_) if _recording((w0, w1)) else None
     for s, e in blocks:
         a = np.matmul(x[s:e], w0.data, out=act[:e - s])
+        if mask is not None:
+            np.greater(a, 0.0, out=mask[s:e])
         np.maximum(a, 0.0, out=a)
         np.matmul(a, w1.data, out=out[s:e])
 
@@ -464,9 +468,8 @@ def relu_mlp(x, w0, w1):
         # Σ over blocks of (x∘g_j)ᵀ·M, the o products stacked as rows
         gm, tm = np.zeros((o * d, hidden)), np.empty((o * d, hidden))
         for s, e in blocks:
-            a = np.matmul(x[s:e], w0.data, out=act[:e - s])
-            # M as 0.0/1.0; np.sign gives the same in ten times as long
-            np.greater(a, 0.0, out=a)
+            a = act[:e - s]
+            a[...] = mask[s:e]  # M as 0.0/1.0
             y = xg[:e - s]
             np.multiply(g[s:e, :, None], x[s:e, None, :],
                         out=y.reshape(e - s, o, d))

@@ -2,6 +2,16 @@
 sequence unrolling with a linear output head, and the historical-average
 baseline. All learnable state lives in autodiff Tensors.
 
+Every model kind first maps a series to its parameter-free features, one
+per timestep, (T, n) -> (T, n, r): P·x_t for the GCN baseline,
+[P·relu(P·x_t) | P·relu(−P·x_t)] for T-GCN (r = 2, below), and x_t itself
+for the GRU and the historical average. A window is a run of seq_len rows
+of them, so each timestep's features are computed once however many
+windows share it: a stack of windows that slides over one series by one
+step per window is read as that series, any other stack as its own
+B·seq_len rows (`read_stack`, `FeatureWindows`). `train` computes them once
+for its training stack, `predict` once per call.
+
 A batch of B windows over n nodes is stacked node-major: every layer works
 on (n*B)-row matrices whose rows i*B ... i*B+B-1 belong to node i. Viewed as
 (n, B*d), such a matrix is one feature matrix, so a graph propagation is one
@@ -9,21 +19,21 @@ matrix product and no layer needs to know B; `predict` maps the rows back to
 (B, n, horizon).
 
 The recurrent cells' input has rank r in the hidden dimension. A cell gives
-`autodiff.gru_unroll` constant per-row features (L, m, r) for the whole
-window and a learned (r, hidden) lift, and the unroll runs every timestep
-as one tape node. For T-GCN this needs the graph convolution to see only
-x_t, one value per node (a convolution of [x_t | h] would not reduce):
-then relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t,
-so the convolution is the features [P·relu(y) | P·relu(−y)] times the lift
-relu([w0; −w0])·w1, and r = 2. For the GRU baseline x_t·w_in has r = 1.
+`autodiff.gru_unroll` its windows' features (L, m, r) and a learned
+(r, hidden) lift, and the unroll runs every timestep as one tape node. For
+T-GCN this needs the graph convolution to see only x_t, one value per node
+(a convolution of [x_t | h] would not reduce): then
+relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t, so the
+convolution is the features [P·relu(y) | P·relu(−y)] (r = 2) times the lift
+relu([w0; −w0])·w1. For the GRU baseline x_t·w_in has r = 1.
 
 Each encoder applies the head's weight proj_w itself, and `SequenceModel`
 adds the bias. The cells multiply their last state by it. The GCN baseline
 is linear after its ReLU, so it folds proj_w into its last weight and
-propagates last: prop·(relu(prop·X·W0)·(W1·proj_w)), whose second
-propagation and W1 product run on horizon columns instead of hidden ones.
-Its hidden layer runs as one row-tiled `autodiff.relu_mlp`, which recomputes
-the activation in the backward instead of keeping it.
+propagates last: prop·(relu(Y·W0)·(W1·proj_w)) with Y the windows' P·x_t,
+whose propagation and W1 product run on horizon columns instead of hidden
+ones. Its hidden layer runs as one row-tiled `autodiff.relu_mlp`, which
+keeps only the ReLU's mask for the backward.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -53,16 +64,74 @@ def _is_bias(name):
     return name.startswith("b_") or name == "proj_b"
 
 
+def _by_step(by_node):
+    """An (n, T, r) array, stored node by node, as (T, n, r) features."""
+    return by_node.transpose(1, 0, 2)
+
+
+def _propagated(prop, series):
+    """P·x_t of every timestep of a (T, n) series, as (n, T)."""
+    return ad.graph_propagate(prop, np.ascontiguousarray(series.T)).data
+
+
+def _values(series):
+    """x_t itself: the features of the GRU and the historical average."""
+    return _by_step(np.ascontiguousarray(series.T)[..., None])
+
+
+def read_stack(windows):
+    """A (B, L, n) stack of windows as (series, starts), window b being
+    series[starts[b]:starts[b] + L]. A stack whose windows step one row
+    apart (equal first two strides: every `make_windows` set and every
+    unit-step slice of one) is read as the count + L − 1 rows it covers,
+    any other as its own B·L rows."""
+    count, steps, n = windows.shape
+    if count and windows.strides[0] == windows.strides[1]:
+        series = as_strided(windows, (count + steps - 1, n),
+                            windows.strides[1:], writeable=False)
+        return series, np.arange(count)
+    return windows.reshape(count * steps, n), np.arange(count) * steps
+
+
+class FeatureWindows(NamedTuple):
+    """Windows of a (T, n, r) feature series, stored node by node: window b
+    covers timesteps starts[b] ... starts[b] + seq_len − 1."""
+    features: np.ndarray
+    starts: np.ndarray
+    seq_len: int
+
+    def take(self, idx):
+        """The windows idx, in that order."""
+        return self._replace(starts=self.starts[idx])
+
+    def _take(self, steps):
+        # (n, *steps.shape, r), a contiguous run of timesteps per node
+        return np.take(self.features.transpose(1, 0, 2), steps, axis=1)
+
+    def by_step(self):
+        """(seq_len, n·B, r): step t's features of every window, node-major
+        rows."""
+        rows = self._take(self.starts + np.arange(self.seq_len)[:, None])
+        return np.ascontiguousarray(rows.transpose(1, 0, 2, 3)).reshape(
+            self.seq_len, -1, rows.shape[-1])
+
+    def by_window(self):
+        """(n·B, seq_len·r): each window's features, node-major rows."""
+        rows = self._take(self.starts[:, None] + np.arange(self.seq_len))
+        return rows.reshape(-1, self.seq_len * rows.shape[-1])
+
+
 class GcnEncoder:
     """The GCN baseline: the two-layer graph convolution
     prop·relu(prop·X·W0)·W1 followed by the linear head. `params` holds the
     weights under their checkpoint names.
 
-    Everything after the ReLU is linear, so the head folds into the last
-    weight: (prop·H·W1)·head = prop·(H·(W1·head)). `forward` runs the second
+    `features` is the parameter-free prop·x_t of each timestep. Everything
+    after the ReLU is linear, so the head folds into the last weight:
+    (prop·H·W1)·head = prop·(H·(W1·head)). `encode` runs the second
     propagation last, on head's few columns rather than W1's hidden ones,
-    and the hidden layer relu(prop·X·W0)·(W1·head) is one
-    `autodiff.relu_mlp` node, so no (rows, hidden) activation is kept.
+    and the hidden layer relu(Y·W0)·(W1·head) is one `autodiff.relu_mlp`
+    node, so no (rows, hidden) activation is kept.
     """
 
     def __init__(self, propagation, in_dim, hidden):
@@ -71,21 +140,27 @@ class GcnEncoder:
         self.w1 = _param(hidden, hidden)
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
+    def features(self, series):
+        """(T, n) series -> (T, n, 1): prop·x_t of every timestep."""
+        return _by_step(_propagated(self.propagation, series)[..., None])
+
+    def encode(self, windows, head):
+        """prop·relu(Y·W0)·W1·head for FeatureWindows whose rows Y are each
+        node's seq_len features."""
+        w = self.w1 @ head  # recorded, so autodiff gives w1 and head gradients
+        return ad.graph_propagate(
+            self.propagation, ad.relu_mlp(windows.by_window(), self.w0, w))
+
     def forward(self, x, head):
-        """prop·relu(prop·x·W0)·W1·head. x is a constant: it receives no
-        gradient."""
+        """prop·relu(prop·x·W0)·W1·head for a constant node-major stack x of
+        n·B rows, each a window of d timesteps. x receives no gradient."""
         if getattr(x, "requires_grad", False):
             raise ContractError("GcnEncoder.forward: x requires grad, but "
                                 "the encoder's input gets no gradient")
-        y = ad.graph_propagate(self.propagation, x).data
-        w = self.w1 @ head  # recorded, so autodiff gives w1 and head gradients
-        return ad.graph_propagate(self.propagation, ad.relu_mlp(y, self.w0, w))
-
-    def encode(self, windows, head):
-        """GCN baseline: each node's seq_len past values are its features;
-        the head is folded into W1."""
-        return self.forward(Tensor(
-            windows.transpose(2, 0, 1).reshape(-1, windows.shape[1])), head)
+        x = getattr(x, "data", x)
+        # x's d columns as one window of a d-step series over its n·B rows
+        return self.encode(FeatureWindows(
+            self.features(x.T), np.zeros(1, int), x.shape[-1]), head)
 
 
 class TgcnCell:
@@ -95,8 +170,9 @@ class TgcnCell:
     `params` holds w0 and w1 (as `gcn.w0`, `gcn.w1`), then the gate weights
     and biases (`GATE_PARAMS`), all also attributes, under their checkpoint
     names. The input transform has rank r in the hidden dimension, so a
-    cell supplies it as constant per-row `features` (L, m, r) and a learned
-    `lift` (r, hidden), and `autodiff.gru_unroll` runs the gated updates.
+    cell supplies it as parameter-free per-timestep `features` (T, n, r)
+    and a learned `lift` (r, hidden), and `autodiff.gru_unroll` runs the
+    gated updates on a window's steps of them.
     """
 
     def __init__(self, propagation, hidden):
@@ -111,42 +187,38 @@ class TgcnCell:
         vars(self).update(gates)
         self.params = {**input_params, **gates}
 
-    def features(self, x):
-        """(L, m) node-major inputs -> the (L, m, 2) features
-        [P·relu(y) | P·relu(−y)], y = P·x_t, of every timestep at once;
-        P·relu(y·w0)·w1 equals features[t]·lift()."""
+    def features(self, series):
+        """(T, n) series -> the (T, n, 2) features [P·relu(y) | P·relu(−y)],
+        y = P·x_t, of every timestep; P·relu(y·w0)·w1 equals
+        features[t]·lift()."""
         prop = self.propagation
-        n, steps = prop.shape[0], x.shape[0]
-        # (n, L·B): one column per timestep and window
-        y = ad.graph_propagate(prop, x.reshape(steps, n, -1).transpose(
-            1, 0, 2).reshape(n, -1)).data
+        y = _propagated(prop, series)
         z = np.empty(y.shape + (2,))
         np.maximum(y, 0.0, out=z[..., 0])
         np.maximum(-y, 0.0, out=z[..., 1])
-        f = ad.graph_propagate(prop, z.reshape(n, -1)).data
-        return f.reshape(n, steps, -1, 2).transpose(1, 0, 2, 3).reshape(
-            steps, -1, 2)
+        f = ad.graph_propagate(prop, z.reshape(len(prop), -1)).data
+        return _by_step(f.reshape(z.shape))
 
     def lift(self):
         """relu([w0; −w0])·w1, recorded so that w0 and w1 get gradients."""
         return ad.relu(Tensor(SIGNS) @ self.w0) @ self.w1
 
-    def _unroll(self, x, h0):
-        return ad.gru_unroll(self.features(x), self.lift(), h0, self.w_u,
-                             self.w_r, self.w_c, self.b_u, self.b_r, self.b_c)
+    def _unroll(self, feats, h0):
+        return ad.gru_unroll(feats, self.lift(), h0, self.w_u, self.w_r,
+                             self.w_c, self.b_u, self.b_r, self.b_c)
 
     def step(self, x_t, h_prev):
         """One update from the constant (m, 1) input x_t and state h_prev."""
-        return self._unroll(np.reshape(getattr(x_t, "data", x_t), (1, -1)),
-                            h_prev)
+        return self._unroll(self.features(
+            np.reshape(getattr(x_t, "data", x_t), (1, -1))), h_prev)
 
     def encode(self, windows, head):
-        """Unroll over the window from a zero state; the last hidden state
+        """Unroll FeatureWindows from a zero state; the last hidden state
         times head."""
-        x = windows.transpose(1, 2, 0).reshape(windows.shape[1], -1)
+        feats = windows.by_step()
         # a zero-stride constant: the zero state takes no memory
         return self._unroll(
-            x, np.broadcast_to(0.0, (x.shape[1], self.hidden))) @ head
+            feats, np.broadcast_to(0.0, (feats.shape[1], self.hidden))) @ head
 
 
 class GruCell(TgcnCell):
@@ -157,8 +229,8 @@ class GruCell(TgcnCell):
         self.w_in = _param(1, hidden)
         self._init_gates({"w_in": self.w_in}, hidden)
 
-    def features(self, x):
-        return x[..., None]
+    def features(self, series):
+        return _values(series)
 
     def lift(self):
         return self.w_in
@@ -244,9 +316,9 @@ class SequenceModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, windows):
-        """windows: array (B, seq_len, n_nodes) -> Tensor (n*B, horizon),
-        node-major rows."""
+    def feature_windows(self, windows):
+        """An array (B, seq_len, n_nodes), or one (seq_len, n_nodes) window,
+        as FeatureWindows of this kind's features (`read_stack`)."""
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim == 2:
             windows = windows[None]
@@ -257,9 +329,17 @@ class SequenceModel:
         if n != self.n_nodes:
             raise ShapeError(
                 f"window has {n} nodes, model expects {self.n_nodes}")
+        series, starts = read_stack(windows)
+        features = _values if self.encoder is None else self.encoder.features
+        return FeatureWindows(features(series), starts, seq_len)
+
+    def forward(self, windows):
+        """windows: an array (B, seq_len, n_nodes), or FeatureWindows from
+        `feature_windows` -> Tensor (n*B, horizon), node-major rows."""
+        if not isinstance(windows, FeatureWindows):
+            windows = self.feature_windows(windows)
         if self.encoder is None:  # the batch as one (seq_len, n*B) window
-            return Tensor(ha_predict(
-                windows.transpose(1, 2, 0).reshape(seq_len, -1), self.horizon))
+            return Tensor(ha_predict(windows.by_step()[..., 0], self.horizon))
         return self.encoder.encode(windows, self.proj_w) + self.proj_b
 
     def predict(self, windows):

@@ -178,6 +178,10 @@ def train(model, train_windows, test_windows, dataset, config):
     what evaluation needs, one chunk's `no_grad` state per thread, which
     `predict` allocates without a pool.
 
+    The features of the training windows (`SequenceModel.feature_windows`)
+    are computed once per call, and each step gathers its batch's rows from
+    them.
+
     The steps run the recurrence's row blocks, and the evaluations their
     chunks, on TGCN_THREADS threads (default 1), this one included, from
     workers started once per call (`autodiff.threads`); the results do not
@@ -190,6 +194,7 @@ def train(model, train_windows, test_windows, dataset, config):
             f"split at index {dataset.split_index} needs the split above "
             f"seq_len + horizon = {model.seq_len + model.horizon} "
             f"(seq_len={model.seq_len}, horizon={model.horizon})")
+    stack = model.feature_windows(train_windows.inputs)
     params = model.parameters()
     weights = model.weight_parameters()
     opt = Adam(params, lr=config.lr)
@@ -208,7 +213,6 @@ def train(model, train_windows, test_windows, dataset, config):
             n_batches = 0
             for start in range(0, n_windows, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                batch_in = train_windows.inputs[idx]
                 # node-major, like the rows of the forward pass
                 batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
                 batch_tg = batch_tg.reshape(-1, model.horizon)
@@ -217,7 +221,7 @@ def train(model, train_windows, test_windows, dataset, config):
                     pool, pool_batch = ad.BufferPool(), len(idx)
                 opt.zero_grad()
                 with ad.reusing(pool):
-                    pred = model.forward(batch_in)
+                    pred = model.forward(stack.take(idx))
                     batch_loss = loss(pred, batch_tg, weights,
                                       config.weight_decay)
                     lval = float(batch_loss.data)

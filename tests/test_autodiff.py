@@ -695,6 +695,42 @@ def test_relu_mlp_gradcheck_across_row_blocks(monkeypatch):
     assert report.passed, report.per_input
 
 
+def test_relu_mlp_keeps_each_calls_mask_under_pool_reuse(monkeypatch):
+    # two recording calls in one binding, both backwards after both
+    # forwards: each tape node holds its own ReLU mask, so the pool must not
+    # hand the first call's mask to the second
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(43)
+    m = 2 * BLOCK + 3
+    calls = [relu_mlp_inputs(rng, m, 3, 5, 2) for _ in range(2)]
+    weights = [Tensor(rng.standard_normal((m, 2))) for _ in calls]
+    want = [_relu_mlp_and_grads(composed_relu_mlp, *args, weight)
+            for args, weight in zip(calls, weights)]
+    drawn = []
+
+    class WatchedPool(ad.BufferPool):
+        def empty(self, shape, dtype=np.float64):
+            drawn.append(np.dtype(dtype))
+            return super().empty(shape, dtype)
+
+    pool = WatchedPool()
+    for _, w0, w1 in calls:
+        w0.zero_grad()
+        w1.zero_grad()
+    with ad.reusing(pool):
+        outs = [ad.relu_mlp(*args) for args in calls]
+        assert drawn.count(np.dtype(bool)) == 2
+        for out, weight in zip(outs, weights):
+            ad.tensor_sum(out * weight).backward()
+    for (_, w0, w1), out, expected in zip(calls, outs, want):
+        for got, ref in zip((out.data, w0.grad, w1.grad), expected):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    drawn.clear()
+    with ad.no_grad(), ad.reusing(pool):
+        ad.relu_mlp(*calls[0])
+    assert drawn and np.dtype(bool) not in drawn
+
+
 def test_relu_mlp_shape_error_names_shapes():
     x = np.zeros((4, 3))
     w0, w1 = Tensor(np.zeros((3, 5))), Tensor(np.zeros((5, 2)))

@@ -489,7 +489,9 @@ def test_gcn_second_propagation_runs_on_horizon_columns(monkeypatch, horizon):
 
     monkeypatch.setattr(ad, "graph_propagate", recorded)
     model.forward(np.random.default_rng(36).random((batch, seq_len, n)))
-    assert shapes == [(n * batch, seq_len), (n * batch, horizon)]
+    # the first propagation, prop·x_t, runs once per timestep of the stack's
+    # own batch·seq_len rows, as one (n, timesteps) matrix
+    assert shapes == [(n, batch * seq_len), (n * batch, horizon)]
 
 
 def test_relu_gradient_zero_at_kink_in_lift():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import PoisonPool, ring_adjacency, ring_series
 from tgcn import autodiff as ad
-from tgcn import data, training
+from tgcn import data, models, training
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ConfigError, ShapeError, TrainingDiverged
 from tgcn.graph import build_propagation
@@ -518,6 +518,114 @@ def test_predict_windows_memory_does_not_grow_with_window_count(monkeypatch):
     predict_windows(model, windows[:1])  # first-call allocations
     small, large = peak(160), peak(640)
     assert large < 1.25 * small, large / small
+
+
+def test_predict_windows_memory_is_bounded_on_a_sliding_view(monkeypatch):
+    # as above, over a make_windows view of one long series, which each
+    # chunk reads as the count + seq_len - 1 timesteps it covers
+    monkeypatch.setattr(training, "EVAL_ROWS", 200)
+    n, hidden, seq_len = 10, 64, 4
+    model = SequenceModel("tgcn", n, hidden, seq_len, 1,
+                          propagation=build_propagation(ring_adjacency()))
+    model.init_parameters(0)
+    ds = data.TimeSeriesDataset(values=ring_series(timesteps=900))
+    windows = data.make_windows(ds, seq_len, 1)[0].inputs
+    assert len(windows) >= 640 and not windows.flags.owndata
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            predict_windows(model, windows[:count])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    predict_windows(model, windows[:1])  # first-call allocations
+    small, large = peak(160), peak(640)
+    assert large < 1.25 * small, large / small
+
+
+# -- per-timestep features ----------------------------------------------------
+
+# unit-step views of a make_windows stack are read as one series; the others
+# as their own rows, as is any copy
+VIEWS = {"whole": (slice(None), True),
+         "prefix": (slice(None, 37), True),
+         "suffix": (slice(3, None), True),
+         "every_other": (slice(None, None, 2), False),
+         "reversed": (slice(None, None, -1), False)}
+
+
+def _close_histories(a, b):
+    assert [row["epoch"] for row in a] == [row["epoch"] for row in b]
+    for x, y in zip(a, b):
+        for key, value in x.items():
+            if value is None:
+                assert y[key] is None
+            else:
+                assert abs(value - y[key]) <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("view", VIEWS)
+@pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru", "ha"])
+def test_series_and_own_rows_readings_agree(monkeypatch, kind, view):
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    prop, ds, train_ws, test_ws = ring_setup()
+    rows, slides = VIEWS[view]
+    inputs, targets = train_ws.inputs[rows], train_ws.targets[rows]
+    copy = np.array(inputs)
+    series, _ = models.read_stack(inputs)
+    assert len(series) == len(inputs) + (3 if slides else 3 * len(inputs))
+    assert len(models.read_stack(copy)[0]) == 4 * len(copy)
+    outs = []
+    for stack in (inputs, copy):
+        model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
+        model.init_parameters(11)
+        pred = predict_windows(model, stack)
+        config = TrainConfig(lr=0.01, batch_size=8, epochs=2, seed=11,
+                             eval_every=1)
+        result = train(model, data.WindowSet(stack, targets), test_ws, ds,
+                       config)
+        outs.append((pred, result.history))
+    (pred_a, hist_a), (pred_b, hist_b) = outs
+    assert np.max(np.abs(pred_a - pred_b)) <= 1e-12
+    _close_histories(hist_a, hist_b)
+
+
+FEATURES = {"tgcn": models.TgcnCell, "gcn": models.GcnEncoder,
+            "gru": models.GruCell}
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+@pytest.mark.parametrize("kind", FEATURES)
+def test_train_computes_features_once_per_call(monkeypatch, kind, prefix):
+    # the features of the training stack are computed once per train call,
+    # not once per batch; the evaluations (under no_grad) compute their own
+    prop, ds, train_ws, test_ws = ring_setup()
+    if prefix:  # as the benchmark trains on a prefix of whole batches
+        train_ws = data.WindowSet(train_ws.inputs[:48], train_ws.targets[:48])
+    model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
+    model.init_parameters(12)
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append((original.__name__, ad.is_grad_enabled()))
+            return original(*args)
+        return wrapper
+
+    cls = FEATURES[kind]
+    monkeypatch.setattr(cls, "features", counted(cls.features))
+    monkeypatch.setattr(ad, "graph_propagate", counted(ad.graph_propagate))
+    config = TrainConfig(lr=0.01, batch_size=8, epochs=3, seed=12,
+                         eval_every=2)
+    train(model, train_ws, test_ws, ds, config)
+    steps = 3 * -(-len(train_ws) // config.batch_size)
+    in_training = [name for name, grad in calls if grad]
+    assert in_training.count("features") == 1
+    assert len(calls) > len(in_training)  # and the evaluations' own
+    if kind == "gcn":  # the second propagation alone runs per step
+        assert in_training.count("graph_propagate") == 1 + steps
 
 
 def test_write_history(tmp_path):
