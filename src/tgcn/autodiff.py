@@ -15,12 +15,11 @@ allocating them, so a training loop's steps share memory.
 
 While worker threads are bound on a thread (``threads``), ``gru_unroll``
 runs its row blocks, forward and backward, on them and on the calling
-thread, each thread taking the next block when it finishes one, and
-``run_blocks`` runs any such list of tasks, as evaluation does with its
-chunks. The calling thread draws every buffer the recurrence's threads use
-and waits for all of them, and the weight gradients are summed per block
-and added in block order, so the results do not depend on the number of
-threads.
+thread, each thread taking the next block when it finishes one
+(``run_blocks``). The calling thread draws every buffer the recurrence's
+threads use and waits for all of them, and the weight gradients are summed
+per block and added in block order once every block has run, so the
+results do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class _ThreadState(threading.local):
     # thread serve no other thread
     enabled = True
     pool = None
-    threads = 1  # run_blocks' threads, this one included
+    threads = 1  # the row blocks' threads, this one included
     executor = None  # the threads - 1 workers
 
 
@@ -124,12 +123,11 @@ def _empty(shape, dtype=np.float64):
 
 @contextmanager
 def threads(count):
-    """Run the blocks of the ``gru_unroll`` and ``run_blocks`` calls made on
-    this thread inside the block on ``count`` threads, this one included:
-    ``count`` − 1 workers start here and stop when the block ends. A
-    binding of the same count already in place is kept, so code that binds
-    its threads can run inside code that bound them first, on the same
-    workers."""
+    """Run the row blocks of the ``gru_unroll`` calls made on this thread
+    inside the block on ``count`` threads, this one included: ``count`` − 1
+    workers start here and stop when the block ends. A binding of the same
+    count already in place is kept, so code that binds its threads can run
+    inside code that bound them first, on the same workers."""
     if count == _local.threads:
         yield
         return
@@ -143,20 +141,14 @@ def threads(count):
             _local.threads, _local.executor = prev
 
 
-def run_blocks(n_blocks, task, scratch=None):
+def run_blocks(n_blocks, task, scratch):
     """task(j, *own) for every block j in range(n_blocks), on this thread
-    and the bound workers, one thread per tuple ``own`` of ``scratch``
-    (None: no scratch, and as many threads as the binding and the blocks
-    allow). A thread takes the next block, in block order, whenever it
-    finishes one, so a thread slowed by other load runs fewer. While
-    workers help, this thread runs its blocks without its binding: the
-    workers are busy here, so a task that runs blocks itself runs them on
-    its own thread. Returns once every thread has finished, so that no
-    worker still writes to a buffer when its caller goes on, and re-raises
-    this thread's error, or else the first worker's; after an error here
-    the workers take no further block."""
-    if scratch is None:
-        scratch = [()] * max(1, min(n_blocks, _local.threads))
+    and the bound workers, one thread per tuple ``own`` of ``scratch``. A
+    thread takes the next block, in block order, whenever it finishes one,
+    so a thread slowed by other load runs fewer. Returns once every thread
+    has finished, so that no worker still writes to a buffer when its caller
+    goes on, and re-raises this thread's error, or else the first worker's;
+    after an error here the workers take no further block."""
     blocks, lock = iter(range(n_blocks)), threading.Lock()
 
     def run(*own):
@@ -169,8 +161,7 @@ def run_blocks(n_blocks, task, scratch=None):
 
     futures = [_local.executor.submit(run, *own) for own in scratch[1:]]
     try:
-        with threads(1) if futures else nullcontext():
-            run(*scratch[0])
+        run(*scratch[0])
     finally:
         with lock:
             for _ in blocks:
@@ -178,6 +169,14 @@ def run_blocks(n_blocks, task, scratch=None):
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _row_blocks(m):
+    """m rows in blocks of ROW_BLOCK rows, the last one shorter: the blocks'
+    (start, end) rows, the tallest block's height, and how many threads run
+    them, the count bound on this thread now but at most one per block."""
+    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
+    return blocks, min(m, ROW_BLOCK), max(1, min(len(blocks), _local.threads))
 
 
 class Tensor:
@@ -451,8 +450,7 @@ def relu_mlp(x, w0, w1):
                          f"w0 {w0.shape}, w1 {w1.shape}")
     m, d = x.shape
     hidden, o = w1.shape
-    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
-    rows = min(m, ROW_BLOCK)  # the tallest block
+    blocks, rows, _ = _row_blocks(m)
     out = _empty((m, o))
     act = _empty((rows, hidden))
     mask = _empty((m, hidden), np.bool_) if _recording((w0, w1)) else None
@@ -542,9 +540,9 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     first step, since h0 is a constant. Its GEMMs with the same left
     operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients
     dz_t, the bias gradients and the state rows' gradients, over each
-    block's steps into one sum per thread, which is added to the total in
-    block order: a thread that finishes a block before an earlier one waits
-    for it. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
+    block's steps into that block's own slot, and once every block has run
+    the slots are added to the totals in block order, so a failed block
+    leaves no partial gradient. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
         _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
@@ -572,10 +570,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
-    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
-    rows = min(m, ROW_BLOCK)  # the tallest block
+    blocks, rows, n_threads = _row_blocks(m)
     out = _empty((m, k))
-    n_threads = max(1, min(len(blocks), _local.threads))
     # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
     # recording, which the threads share, else one block's rows per
     # thread, reused by every step
@@ -620,74 +616,61 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
 
     def bwd(grad):
         # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the
-        # steps and row blocks: dV, then the bias gradients, then the state
-        # rows' gradients
-        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
-        turn = threading.Condition()
-        added, failed = 0, False  # blocks added to g_ur and g_c; an error
+        # steps, one slot per row block: dV, then the bias gradients, then
+        # the state rows' gradients
+        s_ur = np.zeros((len(blocks), q + k, 2 * k))
+        s_c = np.zeros((len(blocks), q + k, k))
 
-        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c,
-                   s_ur, s_c):
-            nonlocal added, failed
+        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c):
             s, e = blocks[j]
             b = e - s
             dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
             du, dz, dsig, xr = du_[:b], dz_[:b], dsig_[:b], xr_[:b]
-            try:
-                dh[...] = grad[s:e]
-                s_ur[...] = 0.0
-                s_c[...] = 0.0
-                for t in reversed(range(n_steps)):
-                    x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
-                    h, u, rg = x[:, q:], z[:, :k], z[:, k:]
-                    np.multiply(dh, u, out=gu)
-                    # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
-                    np.subtract(dh, gu, out=dc)
-                    np.multiply(cand, cand, out=drh)
-                    np.subtract(1.0, drh, out=drh)
-                    dc *= drh
-                    np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
-                    # the update and reset pre-activations side by side,
-                    # through σ' = σ(1 − σ)
-                    # (h − c)∘dh on contiguous rows, not on dz's column slice
-                    np.subtract(h, cand, out=du)
-                    du *= dh
-                    dz[:, :k] = du
-                    np.multiply(drh, h, out=dz[:, k:])
-                    np.subtract(1.0, z, out=dsig)
-                    dsig *= z
-                    dz *= dsig
-                    s_ur += np.matmul(x.T, dz, out=t_ur)
-                    xr[:, :r] = x[:, :r]
-                    np.multiply(rg, h, out=xr[:, q:])
-                    s_c += np.matmul(xr.T, dc, out=t_c)
-                    if t:
-                        np.matmul(dz, w_ur[q:].T, out=dh)
-                        dh += gu
-                        np.multiply(drh, rg, out=gu)
-                        dh += gu
-            except BaseException:
-                with turn:
-                    failed = True  # the blocks after this one wait no more
-                    turn.notify_all()
-                raise
-            with turn:
-                turn.wait_for(lambda: failed or added == j)
-                if not failed:
-                    np.add(g_ur, s_ur, out=g_ur)
-                    np.add(g_c, s_c, out=g_c)
-                    added += 1
-                turn.notify_all()
+            dh[...] = grad[s:e]
+            for t in reversed(range(n_steps)):
+                x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
+                h, u, rg = x[:, q:], z[:, :k], z[:, k:]
+                np.multiply(dh, u, out=gu)
+                # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
+                np.subtract(dh, gu, out=dc)
+                np.multiply(cand, cand, out=drh)
+                np.subtract(1.0, drh, out=drh)
+                dc *= drh
+                np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
+                # the update and reset pre-activations side by side,
+                # through σ' = σ(1 − σ)
+                # (h − c)∘dh on contiguous rows, not on dz's column slice
+                np.subtract(h, cand, out=du)
+                du *= dh
+                dz[:, :k] = du
+                np.multiply(drh, h, out=dz[:, k:])
+                np.subtract(1.0, z, out=dsig)
+                dsig *= z
+                dz *= dsig
+                s_ur[j] += np.matmul(x.T, dz, out=t_ur)
+                xr[:, :r] = x[:, :r]
+                np.multiply(rg, h, out=xr[:, q:])
+                s_c[j] += np.matmul(xr.T, dc, out=t_c)
+                if t:
+                    np.matmul(dz, w_ur[q:].T, out=dh)
+                    dh += gu
+                    np.multiply(drh, rg, out=gu)
+                    dh += gu
 
         def own():
-            # a thread's block-sized scratch, then its products and sums of
-            # the gradients above, drawn here, not on the workers
+            # a thread's block-sized scratch, then its products of the
+            # gradients above, drawn here, not on the workers
             return (_ones_column((rows, q + k), r),
                     *map(_empty, [(rows, k)] * 5 + [(rows, 2 * k)] * 2),
-                    *map(np.empty_like, (g_ur, g_c) * 2))
+                    np.empty((q + k, 2 * k)), np.empty((q + k, k)))
 
-        n_threads = max(1, min(len(blocks), _local.threads))
+        *_, n_threads = _row_blocks(m)
         run_blocks(len(blocks), replay, [own() for _ in range(n_threads)])
+        # the slots added in block order, whichever thread ran which block
+        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
+        for block_ur, block_c in zip(s_ur, s_c):
+            g_ur += block_ur
+            g_c += block_c
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T

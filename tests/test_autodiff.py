@@ -536,6 +536,36 @@ def test_gru_unroll_reraises_a_block_error_once_every_thread_stopped(
         assert len(calls) <= 1 + 2 * 2 * n_steps
 
 
+@pytest.mark.parametrize("on_worker", [False, True])
+def test_gru_unroll_failed_backward_leaves_no_partial_gradient(
+        monkeypatch, on_worker):
+    # one block fails, on a worker or on this thread, while the others run:
+    # the totals take no block's sums, so no parameter gets a gradient
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(40)
+    feats, xs = unroll_inputs(rng, 3, 6 * BLOCK, 2, 3, 2)
+    caller, lock = threading.get_ident(), threading.Lock()
+    failed, running = [], []
+
+    def gate(start):
+        with lock:
+            fail = not failed and (threading.get_ident() != caller) == on_worker
+            (failed if fail else running).append(start)
+        if fail:
+            raise FloatingPointError("block")
+        time.sleep(0.01)  # the blocks spread over the threads
+        with lock:
+            running.remove(start)
+
+    grad = _gate_rows(rng.standard_normal((6 * BLOCK, 2)), gate)
+    with ad.threads(3):  # whose end would wait for the workers
+        with pytest.raises(FloatingPointError, match="block"):
+            _unroll_backward(xs, feats, 3, grad)
+        assert not running  # no thread still runs a block
+    assert len(failed) == 1
+    assert all(x.grad is None for x in xs)
+
+
 def test_threads_binding_is_per_thread_and_kept_when_nested():
     with ad.threads(2):
         executor = ad._local.executor

@@ -366,30 +366,34 @@ def test_threaded_training_matches_serial(monkeypatch, tmp_path):
         sys.setswitchinterval(interval)
 
 
-def test_recording_stays_on_after_concurrent_predict(monkeypatch):
+def test_no_worker_outlives_its_binding(monkeypatch):
+    # the workers stop when train, predict_windows or a failed recurrence
+    # returns, rather than idling for the rest of the process
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
-    model.init_parameters(7)
-    predict, callers = model.predict, set()
+    model.init_parameters(8)
+    sigmoid, during, fail = ad._sigmoid_values, [], [False]
 
-    def recorded(chunk):
-        callers.add(threading.get_ident())
-        return predict(chunk)
+    def step(v, out=None):
+        during.append(threading.active_count())
+        if fail[0]:
+            raise FloatingPointError("gate")
+        return sigmoid(v, out)
 
-    model.predict = recorded
-    monkeypatch.setenv("TGCN_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            predict_windows(model, test_ws.inputs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(callers) > 1  # the chunks' no_grad blocks overlapped
-    assert ad.is_grad_enabled()
-    assert model.forward(test_ws.inputs[:1])._backward is not None
+    monkeypatch.setattr(ad, "_sigmoid_values", step)
+    monkeypatch.setenv("TGCN_THREADS", "2")
+    before = threading.active_count()
+    train(model, train_ws, test_ws, ds, TrainConfig(batch_size=16, epochs=1))
+    assert threading.active_count() == before
+    predict_windows(model, test_ws.inputs)
+    assert threading.active_count() == before
+    assert max(during) == before + 1  # the one worker ran
+    fail[0] = True
+    with pytest.raises(FloatingPointError, match="gate"), ad.threads(3):
+        model.predict(test_ws.inputs)
+    assert threading.active_count() == before
 
 
 # -- chunked evaluation ------------------------------------------------------
@@ -437,63 +441,56 @@ def test_chunked_predictions_match_one_predict_call(monkeypatch, kind):
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
-def test_threaded_predict_windows_runs_each_chunk_on_one_thread(monkeypatch):
-    # the chunks run side by side, one per thread at a time, and each runs
-    # its recurrence on its own thread, since the others are busy with
-    # chunks of their own (were this thread's blocks queued behind a
-    # worker's chunks, it would wait for all of them and run just one
-    # chunk itself); a lone chunk spreads its row blocks instead
+def test_threaded_predict_windows_runs_chunks_in_order_on_this_thread(
+        monkeypatch):
+    # the chunks run one after another on this thread, and each spreads its
+    # recurrence's row blocks over the threads, so the threads add one
+    # block-sized scratch, not a chunk's state
     monkeypatch.setattr(training, "EVAL_ROWS", 200)
-    monkeypatch.setattr(ad, "ROW_BLOCK", 4)
+    monkeypatch.setattr(ad, "ROW_BLOCK", 8)
     model = SequenceModel("tgcn", 10, 64, 4, 1,
                           propagation=build_propagation(ring_adjacency()))
     model.init_parameters(0)
     windows = np.random.default_rng(39).random((160, 4, 10))  # 8 chunks
     predict, sigmoid = model.predict, ad._sigmoid_values
-    local, callers, steps, pause = threading.local(), [], [], [0.0]
+    chunks, steps, pause = [], [], [0.0]
 
     def recorded(chunk):
-        callers.append(threading.get_ident())
-        local.predicting = True
-        try:
-            time.sleep(0.005)  # the chunks spread over the threads
-            return predict(chunk)
-        finally:
-            local.predicting = False
+        chunks.append((threading.get_ident(), chunk.tobytes()))
+        steps.append(set())  # the threads of this chunk's steps
+        return predict(chunk)
 
     def step(v, out=None):
-        steps.append((threading.get_ident(),
-                      getattr(local, "predicting", False)))
+        steps[-1].add(threading.get_ident())
         time.sleep(pause[0])
         return sigmoid(v, out)
 
     model.predict = recorded
     monkeypatch.setattr(ad, "_sigmoid_values", step)
 
-    def peak(threads, count):
+    def peak(threads):
         monkeypatch.setenv("TGCN_THREADS", str(threads))
-        predict_windows(model, windows[:count])  # first-call allocations
-        callers.clear()
+        predict_windows(model, windows)  # first-call allocations
+        chunks.clear()
         steps.clear()
         tracemalloc.start()
         try:
-            out = predict_windows(model, windows[:count])
+            out = predict_windows(model, windows)
             return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    serial, serial_peak = peak(1, 160)
-    threaded, threaded_peak = peak(2, 160)
+    serial, serial_peak = peak(1)
+    pause[0] = 0.0002  # a chunk's 25 blocks spread over the threads
+    threaded, threaded_peak = peak(2)
     assert threaded.tobytes() == serial.tobytes()
-    assert len(set(callers)) == 2
-    assert callers.count(threading.get_ident()) >= 2
-    assert all(predicting for _, predicting in steps)
-    assert threaded_peak <= 2.2 * serial_peak, threaded_peak / serial_peak
-    pause[0] = 0.0005  # the lone chunk's blocks spread over the threads
-    lone, _ = peak(2, 20)
-    assert lone.tobytes() == serial[:20].tobytes()
-    assert callers == [threading.get_ident()]
-    assert len({thread for thread, _ in steps}) == 2
+    me = threading.get_ident()
+    assert chunks == [(me, windows[i:i + 20].tobytes())
+                      for i in range(0, 160, 20)]
+    assert [len(seen) for seen in steps] == [2] * 8
+    assert threaded_peak <= 1.2 * serial_peak, threaded_peak / serial_peak
+    assert ad.is_grad_enabled()
+    assert model.forward(windows[:1])._backward is not None
 
 
 def test_predict_windows_memory_does_not_grow_with_window_count(monkeypatch):
