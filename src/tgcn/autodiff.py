@@ -14,12 +14,12 @@ draw their outputs, backward results and scratch from it instead of
 allocating them, so a training loop's steps share memory.
 
 While worker threads are bound on a thread (``threads``), ``gru_unroll``
-runs its row blocks, forward and backward, on them and on the calling
-thread, each thread taking the next block when it finishes one
-(``run_blocks``). The calling thread draws every buffer the recurrence's
-threads use and waits for all of them, and the weight gradients are summed
-per block and added in block order once every block has run, so the
-results do not depend on the number of threads.
+and ``relu_mlp`` run their row blocks, forward and backward, on them and on
+the calling thread, each thread taking the next block when it finishes one
+(``run_rows``). The calling thread draws every buffer the threads use and
+waits for all of them, and the weight gradients are summed per block and
+added in block order once every block has run, so the results do not
+depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -123,11 +123,12 @@ def _empty(shape, dtype=np.float64):
 
 @contextmanager
 def threads(count):
-    """Run the row blocks of the ``gru_unroll`` calls made on this thread
-    inside the block on ``count`` threads, this one included: ``count`` − 1
-    workers start here and stop when the block ends. A binding of the same
-    count already in place is kept, so code that binds its threads can run
-    inside code that bound them first, on the same workers."""
+    """Run the row blocks of the ``gru_unroll`` and ``relu_mlp`` calls made
+    on this thread inside the block on ``count`` threads, this one
+    included: ``count`` − 1 workers start here and stop when the block
+    ends. A binding of the same count already in place is kept, so code
+    that binds its threads can run inside code that bound them first, on
+    the same workers."""
     if count == _local.threads:
         yield
         return
@@ -141,25 +142,34 @@ def threads(count):
             _local.threads, _local.executor = prev
 
 
-def run_blocks(n_blocks, task, scratch):
-    """task(j, *own) for every block j in range(n_blocks), on this thread
-    and the bound workers, one thread per tuple ``own`` of ``scratch``. A
-    thread takes the next block, in block order, whenever it finishes one,
-    so a thread slowed by other load runs fewer. Returns once every thread
-    has finished, so that no worker still writes to a buffer when its caller
-    goes on, and re-raises this thread's error, or else the first worker's;
-    after an error here the workers take no further block."""
-    blocks, lock = iter(range(n_blocks)), threading.Lock()
+def run_rows(m, task, own, sums=()):
+    """task(s, e, *slots, *scratch) for every block s:e of m rows, blocks of
+    ROW_BLOCK rows in order, the last one shorter, on this thread and the
+    bound workers, at most one thread per block. A thread's ``scratch`` is
+    own(rows), drawn here for the tallest block, and a block's ``slots``
+    are its own zeroed arrays, one per shape in ``sums``. A thread takes the
+    next block whenever it finishes one, so a thread slowed by other load
+    runs fewer. Returns once every thread has finished, so that no worker
+    still writes to a buffer when its caller goes on, re-raising this
+    thread's error, or else the first worker's; after an error here the
+    workers take no further block. Returns, per shape in ``sums``, 0 plus
+    the blocks' slots in block order, whichever thread ran which block."""
+    starts = range(0, m, ROW_BLOCK)
+    slots = [np.zeros((len(starts), *shape)) for shape in sums]
+    scratch = [own(min(m, ROW_BLOCK))
+               for _ in range(max(1, min(len(starts), _local.threads)))]
+    blocks, lock = iter(range(len(starts))), threading.Lock()
 
-    def run(*own):
+    def run(*mine):
         while True:
             with lock:
                 j = next(blocks, None)
             if j is None:
                 return
-            task(j, *own)
+            task(starts[j], min(starts[j] + ROW_BLOCK, m),
+                 *(slot[j] for slot in slots), *mine)
 
-    futures = [_local.executor.submit(run, *own) for own in scratch[1:]]
+    futures = [_local.executor.submit(run, *mine) for mine in scratch[1:]]
     try:
         run(*scratch[0])
     finally:
@@ -169,14 +179,7 @@ def run_blocks(n_blocks, task, scratch):
         wait(futures)
     for future in futures:
         future.result()
-
-
-def _row_blocks(m):
-    """m rows in blocks of ROW_BLOCK rows, the last one shorter: the blocks'
-    (start, end) rows, the tallest block's height, and how many threads run
-    them, the count bound on this thread now but at most one per block."""
-    blocks = [(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
-    return blocks, min(m, ROW_BLOCK), max(1, min(len(blocks), _local.threads))
+    return [sum(slot, np.zeros(shape)) for slot, shape in zip(slots, sums)]
 
 
 class Tensor:
@@ -429,15 +432,17 @@ def relu(x):
 def relu_mlp(x, w0, w1):
     """relu(x·w0)·w1 for a constant (m, d) array x, as a single tape node.
 
-    The rows run in blocks of ROW_BLOCK, and a block's activation a = x·w0
-    lives in one block-sized scratch. When recording, the forward also
-    keeps the ReLU's mask a > 0 as an (m, hidden) bool array, 0 at the
-    kink, so an entry of x·w0 that is exactly 0 passes no gradient; under
-    ``no_grad`` it keeps nothing of height m but the (m, o) result. The
-    backward copies each block's mask into a 0/1 float scratch M. Rather
-    than form the (m, hidden) gradient M∘(g·w1ᵀ), it sums the o products
-    G_j = (x∘g_j)ᵀ·M over the blocks, as one GEMM on a (rows, o·d) scratch,
-    and gets both weight gradients from them:
+    The rows run in blocks of ROW_BLOCK on the threads bound with
+    ``threads`` (``run_rows``), forward and backward, and a block's
+    activation a = x·w0 lives in its thread's block-sized scratch. When
+    recording, the forward also keeps the ReLU's mask a > 0 as an
+    (m, hidden) bool array, 0 at the kink, so an entry of x·w0 that is
+    exactly 0 passes no gradient; under ``no_grad`` it keeps nothing of
+    height m but the (m, o) result. The backward copies each block's mask
+    into a 0/1 float scratch M. Rather than form the (m, hidden) gradient
+    M∘(g·w1ᵀ), it sums the o products G_j = (x∘g_j)ᵀ·M over the blocks,
+    each block's as one GEMM on a (rows, o·d) scratch into its own slot,
+    and gets both weight gradients from the slots' block-order total:
 
         dw0       = Σ_j G_j∘w1[:, j]ᵀ
         dw1[:, j] = Σ_d w0[d, :]∘G_j[d, :]     (relu(a)ᵀ·g_j, as M∘a = relu(a))
@@ -450,28 +455,30 @@ def relu_mlp(x, w0, w1):
                          f"w0 {w0.shape}, w1 {w1.shape}")
     m, d = x.shape
     hidden, o = w1.shape
-    blocks, rows, _ = _row_blocks(m)
     out = _empty((m, o))
-    act = _empty((rows, hidden))
     mask = _empty((m, hidden), np.bool_) if _recording((w0, w1)) else None
-    for s, e in blocks:
+
+    def forward(s, e, act):
         a = np.matmul(x[s:e], w0.data, out=act[:e - s])
         if mask is not None:
             np.greater(a, 0.0, out=mask[s:e])
         np.maximum(a, 0.0, out=a)
         np.matmul(a, w1.data, out=out[s:e])
 
+    run_rows(m, forward, lambda rows: (_empty((rows, hidden)),))
+
     def bwd(g):
-        act, xg = _empty((rows, hidden)), _empty((rows, o * d))
-        # Σ over blocks of (x∘g_j)ᵀ·M, the o products stacked as rows
-        gm, tm = np.zeros((o * d, hidden)), np.empty((o * d, hidden))
-        for s, e in blocks:
+        def block(s, e, gm, act, xg):
+            # (x∘g_j)ᵀ·M for the block, the o products stacked as rows
             a = act[:e - s]
             a[...] = mask[s:e]  # M as 0.0/1.0
             y = xg[:e - s]
             np.multiply(g[s:e, :, None], x[s:e, None, :],
                         out=y.reshape(e - s, o, d))
-            gm += np.matmul(y.T, a, out=tm)
+            np.matmul(y.T, a, out=gm)
+
+        gm, = run_rows(m, block, lambda rows: (
+            _empty((rows, hidden)), _empty((rows, o * d))), [(o * d, hidden)])
         gm = gm.reshape(o, d, hidden)
         dw0 = np.einsum("jdk,kj->dk", gm, w1.data)
         dw1 = np.einsum("jdk,dk->kj", gm, w0.data)
@@ -525,7 +532,7 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     block runs all L steps before the next block starts: the buffers a step
     touches stay in cache across the window instead of streaming all m rows
     from memory on every step. The blocks run on the threads bound with
-    ``threads`` (``run_blocks``), the calling thread included.
+    ``threads`` (``run_rows``), the calling thread included.
 
     A block's state lives only in its rows of the result, set from h0 and
     updated in place; each step copies feats_t and the state into its
@@ -540,8 +547,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     first step, since h0 is a constant. Its GEMMs with the same left
     operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients
     dz_t, the bias gradients and the state rows' gradients, over each
-    block's steps into that block's own slot, and once every block has run
-    the slots are added to the totals in block order, so a failed block
+    block's steps into that block's own slot, and ``run_rows`` adds the
+    slots in block order once every block has run, so a failed block
     leaves no partial gradient. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
     """
     lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
@@ -570,23 +577,20 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
-    blocks, rows, n_threads = _row_blocks(m)
     out = _empty((m, k))
     # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
     # recording, which the threads share, else one block's rows per
     # thread, reused by every step
     widths = (q + k, 2 * k, k)
-    if record:
-        kept = [[_empty((n_steps, m, w)) for w in widths]] * n_threads
-    else:
-        kept = [[_empty((1, rows, w)) for w in widths]
-                for _ in range(n_threads)]
-    # [feats_t | 1 | r∘h] per thread when recording
-    xrh = [_ones_column((rows, q + k), r) if record else None
-           for _ in range(n_threads)]
+    kept = [_empty((n_steps, m, w)) for w in widths] if record else None
 
-    def forward(j, xh, ur, c, xr_):
-        s, e = blocks[j]
+    def own(rows):
+        # and, when recording, a [feats_t | 1 | r∘h] per thread
+        if record:
+            return (*kept, _ones_column((rows, q + k), r))
+        return (*(_empty((1, rows, w)) for w in widths), None)
+
+    def forward(s, e, xh, ur, c, xr_):
         rs = slice(s, e) if record else slice(0, e - s)
         xh[:, rs, r] = 1.0
         state = out[s:e]
@@ -611,18 +615,16 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             state *= u
             state += cand
 
-    run_blocks(len(blocks), forward, [(*kt, x) for kt, x in zip(kept, xrh)])
-    xh, ur, c = kept[0]
+    run_rows(m, forward, own)
 
     def bwd(grad):
-        # [feats_t | 1 | h]ᵀ·dz and [feats_t | 1 | r∘h]ᵀ·dc summed over the
-        # steps, one slot per row block: dV, then the bias gradients, then
-        # the state rows' gradients
-        s_ur = np.zeros((len(blocks), q + k, 2 * k))
-        s_c = np.zeros((len(blocks), q + k, k))
+        xh, ur, c = kept
 
-        def replay(j, xr_, dh_, gu_, dc_, drh_, du_, dz_, dsig_, t_ur, t_c):
-            s, e = blocks[j]
+        # a block's slots s_ur and s_c sum [feats_t | 1 | h]ᵀ·dz and
+        # [feats_t | 1 | r∘h]ᵀ·dc over its steps: dV, then the bias
+        # gradients, then the state rows' gradients
+        def replay(s, e, s_ur, s_c, xr_, dh_, gu_, dc_, drh_, du_, dz_,
+                   dsig_, t_ur, t_c):
             b = e - s
             dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
             du, dz, dsig, xr = du_[:b], dz_[:b], dsig_[:b], xr_[:b]
@@ -647,30 +649,24 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
                 np.subtract(1.0, z, out=dsig)
                 dsig *= z
                 dz *= dsig
-                s_ur[j] += np.matmul(x.T, dz, out=t_ur)
+                s_ur += np.matmul(x.T, dz, out=t_ur)
                 xr[:, :r] = x[:, :r]
                 np.multiply(rg, h, out=xr[:, q:])
-                s_c[j] += np.matmul(xr.T, dc, out=t_c)
+                s_c += np.matmul(xr.T, dc, out=t_c)
                 if t:
                     np.matmul(dz, w_ur[q:].T, out=dh)
                     dh += gu
                     np.multiply(drh, rg, out=gu)
                     dh += gu
 
-        def own():
-            # a thread's block-sized scratch, then its products of the
-            # gradients above, drawn here, not on the workers
+        def scratch(rows):
+            # a thread's block-sized scratch, then its t_ur and t_c
             return (_ones_column((rows, q + k), r),
                     *map(_empty, [(rows, k)] * 5 + [(rows, 2 * k)] * 2),
                     np.empty((q + k, 2 * k)), np.empty((q + k, k)))
 
-        *_, n_threads = _row_blocks(m)
-        run_blocks(len(blocks), replay, [own() for _ in range(n_threads)])
-        # the slots added in block order, whichever thread ran which block
-        g_ur, g_c = np.zeros((q + k, 2 * k)), np.zeros((q + k, k))
-        for block_ur, block_c in zip(s_ur, s_c):
-            g_ur += block_ur
-            g_c += block_c
+        g_ur, g_c = run_rows(m, replay, scratch,
+                             [(q + k, 2 * k), (q + k, k)])
         dv_ur, dv_c = g_ur[:r], g_c[:r]
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T

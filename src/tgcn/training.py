@@ -115,9 +115,10 @@ def predict_windows(model, inputs):
     chunks of max(1, EVAL_ROWS // n_nodes) windows, one after another, each
     written to its own rows of the result, so evaluation holds one chunk's
     state, not the whole split's. With TGCN_THREADS (default 1) above 1
-    each chunk's recurrence runs its row blocks on that many threads, this
-    one included (`autodiff.threads`). The chunks do not depend on the
-    count, and neither do the predictions."""
+    each chunk's row blocks, those of the recurrence or of the GCN
+    baseline's hidden layer, run on that many threads, this one included
+    (`autodiff.threads`). The chunks do not depend on the count, and
+    neither do the predictions."""
     size = max(1, EVAL_ROWS // model.n_nodes)
     out = np.empty((len(inputs), model.n_nodes, model.horizon))
     with ad.threads(_threads()):
@@ -177,10 +178,10 @@ def train(model, train_windows, test_windows, dataset, config):
     are computed once per call, and each step gathers its batch's rows from
     them.
 
-    The steps and the evaluations run the recurrence's row blocks on
-    TGCN_THREADS threads (default 1), this one included, from workers
-    started once per call (`autodiff.threads`); the results do not depend
-    on the count.
+    The steps and the evaluations run their row blocks, those of the
+    recurrence or of the GCN baseline's hidden layer, on TGCN_THREADS
+    threads (default 1), this one included, from workers started once per
+    call (`autodiff.threads`); the results do not depend on the count.
     """
     n_windows = len(train_windows)
     if n_windows == 0:

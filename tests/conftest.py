@@ -40,6 +40,22 @@ class PoisonPool(ad.BufferPool):
                        dtype)
 
 
+def probe_row_blocks(monkeypatch, action):
+    """Call action(first row) on the thread that runs each row block, before
+    the block's work, by wrapping the tasks that ``autodiff.run_rows`` hands
+    out."""
+    run_rows = ad.run_rows
+
+    def probed(m, task, own, sums=()):
+        def probed_task(s, *args):
+            action(s)
+            task(s, *args)
+
+        return run_rows(m, probed_task, own, sums)
+
+    monkeypatch.setattr(ad, "run_rows", probed)
+
+
 def write_csv(path, matrix):
     np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.12g")
     return str(path)

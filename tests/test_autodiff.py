@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PoisonPool
+from conftest import PoisonPool, probe_row_blocks
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ContractError, ShapeError
@@ -566,6 +568,91 @@ def test_gru_unroll_failed_backward_leaves_no_partial_gradient(
     assert all(x.grad is None for x in xs)
 
 
+# the shapes of the sums the property test's blocks add to their slots
+SUMS = [(3,), (2, 2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_run_rows_runs_each_block_once_and_sums_in_block_order(data):
+    m, block, count = (data.draw(st.integers(1, 40)),
+                       data.draw(st.integers(1, 16)),
+                       data.draw(st.integers(1, 4)))
+    n_blocks = -(-m // block)
+    delays = data.draw(st.lists(st.sampled_from([0.0, 0.0005, 0.002]),
+                                min_size=n_blocks, max_size=n_blocks))
+    # the thread whose first block fails, if any: a worker may run none
+    failing = data.draw(st.sampled_from([None, "caller", "worker"]))
+    # slot values over many binades, so that another order of addition
+    # changes the totals' last bits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = [rng.standard_normal((n_blocks, *shape))
+              * 10.0 ** rng.integers(-6, 7, (n_blocks, *shape))
+              for shape in SUMS]
+    caller, lock = threading.get_ident(), threading.Lock()
+    events, owners, drawn = [], {}, []
+
+    def own(rows):
+        drawn.append((threading.get_ident(), rows))
+        return (object(),)
+
+    def task(s, e, *args):
+        *slots, mine = args
+        j, me = s // block, threading.get_ident()
+        assert (s, e) == (j * block, min(j * block + block, m))
+        with lock:
+            fail = (failing == ("caller" if me == caller else "worker")
+                    and all(ev[2] != me for ev in events)
+                    and all(ev[0] != "fail" for ev in events))
+            events.append(("fail" if fail else "start", j, me))
+            owners.setdefault(id(mine), set()).add(me)
+        if fail:
+            raise FloatingPointError(f"block {j}")
+        time.sleep(delays[j])
+        for slot, value in zip(slots, values):
+            assert not slot.any()  # each block's own zeroed slot
+            slot += value[j]
+        with lock:
+            events.append(("end", j, me))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "ROW_BLOCK", block)
+        with ad.threads(count):
+            try:
+                totals = ad.run_rows(m, task, own, SUMS)
+            except FloatingPointError as exc:
+                totals = exc
+            after = list(events)
+        # the binding's end joined the workers: none ran on after the call
+        assert events == after
+    # the scratch: drawn on this thread for the tallest block, one per
+    # thread and at most one thread per block, each used by one thread
+    assert drawn == [(caller, min(m, block))] * min(count, n_blocks)
+    assert all(len(threads) == 1 for threads in owners.values())
+    taken = [j for kind, j, _ in events if kind != "end"]
+    assert len(taken) == len(set(taken))  # no block runs twice
+    fails = [i for i, ev in enumerate(events) if ev[0] == "fail"]
+    # every thread stopped before the call returned
+    assert len(taken) == len(events) - len(taken) + len(fails)
+    if not fails:
+        assert sorted(taken) == list(range(n_blocks))
+        for total, value in zip(totals, values):
+            want = np.zeros(value.shape[1:])
+            for v in value:  # the serial block-order sum
+                want += v
+            assert total.tobytes() == want.tobytes()
+        return
+    _, j, thread = events[fails[0]]
+    assert str(totals) == f"block {j}"
+    if thread == caller:
+        # after this thread's error the workers take no further block: at
+        # most one each, taken as the error was raised, starts later
+        assert [ev[0] for ev in events[fails[0]:]].count("start") < count
+    else:
+        # a worker's error stops that worker alone
+        assert sorted(taken) == list(range(n_blocks))
+
+
 def test_threads_binding_is_per_thread_and_kept_when_nested():
     with ad.threads(2):
         executor = ad._local.executor
@@ -676,18 +763,33 @@ def composed_relu_mlp(x, w0, w1):
 @pytest.mark.parametrize("block,m", [(ad.ROW_BLOCK, 7), (BLOCK, BLOCK),
                                      (BLOCK, 2 * BLOCK + 3)])
 def test_relu_mlp_matches_composition(monkeypatch, o, block, m):
+    # x·w0 has entries exactly on the ReLU kink (relu_mlp_inputs); at each
+    # thread count, and with every buffer read before it is written showing
+    # as NaN, the result and gradients are those of one thread
     monkeypatch.setattr(ad, "ROW_BLOCK", block)
     rng = np.random.default_rng(40 + m + o)
     x, w0, w1 = relu_mlp_inputs(rng, m, 3, 5, o)
     weight = Tensor(rng.standard_normal((m, o)))
     want = _relu_mlp_and_grads(composed_relu_mlp, x, w0, w1, weight)
-    got = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1, weight)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-12
-    with ad.no_grad():
-        free = ad.relu_mlp(x, w0, w1)
-    assert free._backward is None and np.array_equal(free.data, got[0])
+    seen = set()
+    probe_row_blocks(monkeypatch, lambda start: seen.add(
+        threading.get_ident()) or time.sleep(0.002))
+    for count in (1, 2, 3):
+        seen.clear()
+        with ad.threads(count), ad.reusing(PoisonPool()):
+            got = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1, weight)
+            with ad.no_grad():
+                free = ad.relu_mlp(x, w0, w1)
+        if count == 1:
+            serial = got
+        for a, b, c in zip(got, want, serial):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12
+            assert a.tobytes() == c.tobytes(), count
+        assert free._backward is None and np.array_equal(free.data, got[0])
+        # at most one thread per block
+        assert len(seen) <= count
+        assert (len(seen) > 1) == (count > 1 and m > block), count
 
 
 def test_relu_mlp_zero_activation_passes_no_gradient(monkeypatch):
@@ -759,6 +861,63 @@ def test_relu_mlp_keeps_each_calls_mask_under_pool_reuse(monkeypatch):
     with ad.no_grad(), ad.reusing(pool):
         ad.relu_mlp(*calls[0])
     assert drawn and np.dtype(bool) not in drawn
+
+
+def _relu_mlp_backward(x, w0, w1, grad, count):
+    w0.zero_grad()
+    w1.zero_grad()
+    out = ad.relu_mlp(x, w0, w1)
+    with ad.threads(count):
+        out._backward(grad)
+    return w0.grad, w1.grad
+
+
+def test_relu_mlp_backward_adds_block_sums_in_block_order(monkeypatch):
+    # the first block finishes last
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(44)
+    x, w0, w1 = relu_mlp_inputs(rng, 4 * BLOCK, 3, 5, 2)
+    grad = rng.standard_normal((4 * BLOCK, 2))
+    serial = _relu_mlp_backward(x, w0, w1, grad, 1)
+    probe_row_blocks(monkeypatch, lambda start: start or time.sleep(0.05))
+    for want, got in zip(serial, _relu_mlp_backward(x, w0, w1, grad, 3)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("on_worker", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+def test_relu_mlp_reraises_a_block_error_once_every_thread_stopped(
+        monkeypatch, backward, on_worker):
+    # one block fails, on a worker or on this thread, while the others run:
+    # the error comes once no thread runs a block, and the weights get no
+    # gradient
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(45)
+    x, w0, w1 = relu_mlp_inputs(rng, 6 * BLOCK, 3, 5, 2)
+    out = ad.relu_mlp(x, w0, w1) if backward else None
+    caller, lock = threading.get_ident(), threading.Lock()
+    failed, running = [], []
+
+    def gate(start):
+        with lock:
+            fail = not failed and (threading.get_ident() != caller) == on_worker
+            (failed if fail else running).append(start)
+        if fail:
+            raise FloatingPointError("block")
+        time.sleep(0.01)  # the blocks spread over the threads
+        with lock:
+            running.remove(start)
+
+    probe_row_blocks(monkeypatch, gate)
+    with ad.threads(3):  # whose end would wait for the workers
+        with pytest.raises(FloatingPointError, match="block"):
+            if backward:
+                out._backward(rng.standard_normal((6 * BLOCK, 2)))
+            else:
+                ad.relu_mlp(x, w0, w1)
+        assert not running  # no thread still runs a block
+    assert len(failed) == 1
+    assert w0.grad is None and w1.grad is None
 
 
 def test_relu_mlp_shape_error_names_shapes():

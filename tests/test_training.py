@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import PoisonPool, ring_adjacency, ring_series
+from conftest import (PoisonPool, probe_row_blocks, ring_adjacency,
+                      ring_series)
 from tgcn import autodiff as ad
 from tgcn import data, models, training
 from tgcn.autodiff import Tensor, gradcheck
@@ -225,25 +226,45 @@ def test_evaluate_on_denormalized_scale():
 # runs as several chunks
 CHUNK_ROWS = 30
 # a row block that splits a 30-row chunk and a 160-row batch of the ring
-# into several, so that the recurrence runs on several threads
+# into several, so that the recurrence and relu_mlp run on several threads
 RING_BLOCK = 8
+# the kinds whose row blocks run on the threads: T-GCN's recurrence (GRU's
+# is the same kernel) and the GCN baseline's relu_mlp
+THREADED_KINDS = ("tgcn", "gcn")
+
+
+def _probe_blocks(monkeypatch, kind, action):
+    """Call action() on the thread that runs each step of a row block of
+    T-GCN's recurrence, or each row block of the GCN baseline's relu_mlp."""
+    if kind == "gcn":
+        probe_row_blocks(monkeypatch, lambda start: action())
+        return
+    sigmoid = ad._sigmoid_values
+
+    def recorded(v, out=None):
+        action()
+        return sigmoid(v, out)
+
+    monkeypatch.setattr(ad, "_sigmoid_values", recorded)
 
 
 def test_threaded_evaluation_matches_serial(monkeypatch):
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
     prop, ds, train_ws, test_ws = ring_setup()
-    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
-    model.init_parameters(5)
-    serial = predict_windows(model, test_ws.inputs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the evaluation threads often
     try:
-        for threads in (2, 4):
-            monkeypatch.setenv("TGCN_THREADS", str(threads))
-            threaded = predict_windows(model, test_ws.inputs)
-            assert threaded.shape == serial.shape
-            assert threaded.tobytes() == serial.tobytes(), threads
+        for kind in THREADED_KINDS:
+            model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
+            model.init_parameters(5)
+            monkeypatch.setenv("TGCN_THREADS", "1")
+            serial = predict_windows(model, test_ws.inputs)
+            for threads in (2, 4):
+                monkeypatch.setenv("TGCN_THREADS", str(threads))
+                threaded = predict_windows(model, test_ws.inputs)
+                assert threaded.shape == serial.shape
+                assert threaded.tobytes() == serial.tobytes(), (kind, threads)
     finally:
         sys.setswitchinterval(interval)
 
@@ -316,23 +337,17 @@ def test_nonfinite_gradient_names_epoch_and_batch(monkeypatch):
         train(model, train_ws, test_ws, ds, config)
 
 
-def _threaded_run(monkeypatch, tmp_path, threads):
-    """History, final checkpoint bytes and best parameters of a T-GCN
-    training run at TGCN_THREADS=threads, and the threads that ran the
-    recurrence of its training steps."""
+def _threaded_run(monkeypatch, tmp_path, threads, kind):
+    """History, final checkpoint bytes and best parameters of a training run
+    of the kind at TGCN_THREADS=threads, and the threads that ran the row
+    blocks of its training steps' forwards."""
     prop, ds, train_ws, test_ws = ring_setup()
-    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
+    model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
     model.init_parameters(6)
     config = TrainConfig(lr=0.01, batch_size=16, epochs=10, seed=6,
                          eval_every=1)
     monkeypatch.setenv("TGCN_THREADS", str(threads))
-    seen, stepping = set(), []
-    sigmoid, forward = ad._sigmoid_values, model.forward
-
-    def recorded(v, out=None):
-        if any(stepping):
-            seen.add(threading.get_ident())
-        return sigmoid(v, out)
+    seen, stepping, forward = set(), [], model.forward
 
     def step_forward(windows):  # predict's forward runs under no_grad
         stepping.append(ad.is_grad_enabled())
@@ -341,10 +356,12 @@ def _threaded_run(monkeypatch, tmp_path, threads):
         finally:
             stepping.pop()
 
-    monkeypatch.setattr(ad, "_sigmoid_values", recorded)
     model.forward = step_forward
-    result = train(model, train_ws, test_ws, ds, config)
-    path = tmp_path / f"{threads}.ckpt"
+    with monkeypatch.context() as probed:
+        _probe_blocks(probed, kind, lambda: any(stepping) and seen.add(
+            threading.get_ident()))
+        result = train(model, train_ws, test_ws, ds, config)
+    path = tmp_path / f"{kind}-{threads}.ckpt"
     save_checkpoint(model, path)
     best = b"".join(p.tobytes() for p in result.best_params.values())
     return (result.history, path.read_bytes(), best), seen
@@ -353,47 +370,51 @@ def _threaded_run(monkeypatch, tmp_path, threads):
 def test_threaded_training_matches_serial(monkeypatch, tmp_path):
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
-    serial, seen = _threaded_run(monkeypatch, tmp_path, 1)
-    assert seen == {threading.get_ident()}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the recurrence's threads often
-    try:
-        for threads in (2, 4):
-            run, seen = _threaded_run(monkeypatch, tmp_path, threads)
-            assert run == serial, threads
-            assert threading.get_ident() in seen and len(seen) > 1
-    finally:
-        sys.setswitchinterval(interval)
+    for kind in THREADED_KINDS:
+        serial, seen = _threaded_run(monkeypatch, tmp_path, 1, kind)
+        assert seen == {threading.get_ident()}, kind
+        sys.setswitchinterval(1e-6)  # interleave the row blocks' threads often
+        try:
+            for threads in (2, 4):
+                run, seen = _threaded_run(monkeypatch, tmp_path, threads, kind)
+                assert run == serial, (kind, threads)
+                assert threading.get_ident() in seen and len(seen) > 1, kind
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_no_worker_outlives_its_binding(monkeypatch):
-    # the workers stop when train, predict_windows or a failed recurrence
+    # the workers stop when train, predict_windows or a failed row block
     # returns, rather than idling for the rest of the process
     monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
     monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
-    prop, ds, train_ws, test_ws = ring_setup()
-    model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
-    model.init_parameters(8)
-    sigmoid, during, fail = ad._sigmoid_values, [], [False]
-
-    def step(v, out=None):
-        during.append(threading.active_count())
-        if fail[0]:
-            raise FloatingPointError("gate")
-        return sigmoid(v, out)
-
-    monkeypatch.setattr(ad, "_sigmoid_values", step)
     monkeypatch.setenv("TGCN_THREADS", "2")
-    before = threading.active_count()
-    train(model, train_ws, test_ws, ds, TrainConfig(batch_size=16, epochs=1))
-    assert threading.active_count() == before
-    predict_windows(model, test_ws.inputs)
-    assert threading.active_count() == before
-    assert max(during) == before + 1  # the one worker ran
-    fail[0] = True
-    with pytest.raises(FloatingPointError, match="gate"), ad.threads(3):
-        model.predict(test_ws.inputs)
-    assert threading.active_count() == before
+    prop, ds, train_ws, test_ws = ring_setup()
+    for kind in THREADED_KINDS:
+        model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
+        model.init_parameters(8)
+        during, fail = [], [False]
+
+        def step():
+            during.append(threading.active_count())
+            if fail[0]:
+                raise FloatingPointError("gate")
+
+        with monkeypatch.context() as probed:
+            _probe_blocks(probed, kind, step)
+            before = threading.active_count()
+            train(model, train_ws, test_ws, ds,
+                  TrainConfig(batch_size=16, epochs=1))
+            assert threading.active_count() == before, kind
+            predict_windows(model, test_ws.inputs)
+            assert threading.active_count() == before, kind
+            assert max(during) == before + 1, kind  # the one worker ran
+            fail[0] = True
+            with pytest.raises(FloatingPointError, match="gate"), \
+                    ad.threads(3):
+                model.predict(test_ws.inputs)
+            assert threading.active_count() == before, kind
 
 
 # -- chunked evaluation ------------------------------------------------------
