@@ -179,7 +179,10 @@ def run_rows(m, task, own, sums=()):
         wait(futures)
     for future in futures:
         future.result()
-    return [sum(slot, np.zeros(shape)) for slot, shape in zip(slots, sums)]
+    # numpy reduces a lone axis pairwise, so a one-entry shape's slots add
+    # one by one
+    return [np.add.reduce(slot, axis=0, initial=0.0) if np.prod(shape) > 1
+            else sum(slot, np.zeros(shape)) for slot, shape in zip(slots, sums)]
 
 
 class Tensor:
@@ -515,7 +518,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     """A window of gated recurrent updates as a single tape node.
 
     The input at step t has rank r: it is feats[t]·lift, with feats a
-    constant (L, m, r) array and lift an (r, p) Tensor. h0 is the (m, k)
+    constant (L, m, r) array, which may be any view (the cells pass their
+    (m, L, r) rows transposed), and lift an (r, p) Tensor. h0 is the (m, k)
     initial state, also a constant: a recording call refuses one that
     requires grad. Each weight is (p + k, k) and each bias (1, k). A weight's
     first p rows W_g act on the input and its last k rows W_h on the state.

@@ -3,14 +3,15 @@ sequence unrolling with a linear output head, and the historical-average
 baseline. All learnable state lives in autodiff Tensors.
 
 Every model kind first maps a series to its parameter-free features, one
-per timestep, (T, n) -> (T, n, r): P·x_t for the GCN baseline,
-[P·relu(P·x_t) | P·relu(−P·x_t)] for T-GCN (r = 2, below), and x_t itself
-for the GRU and the historical average. A window is a run of seq_len rows
-of them, so each timestep's features are computed once however many
-windows share it: a stack of windows that slides over one series by one
-step per window is read as that series, any other stack as its own
-B·seq_len rows (`read_stack`, `FeatureWindows`). `train` computes them once
-for its training stack, `predict` once per call.
+per timestep, stored node by node, (T, n) -> (n, T, r): P·x_t for the GCN
+baseline, [P·relu(P·x_t) | P·relu(−P·x_t)] for T-GCN (r = 2, below), and
+x_t itself for the GRU and the historical average. A window is a run of
+seq_len timesteps of them, so each timestep's features are computed once
+however many windows share it: a stack of windows that slides over one
+series by one step per window is read as that series, any other stack as
+its own B·seq_len rows (`read_stack`, `FeatureWindows`). `train` computes
+them once for its training stack, `predict` once per call, and every kind
+reads a batch as `FeatureWindows.rows`, each node's windows in turn.
 
 A batch of B windows over n nodes is stacked node-major: every layer works
 on (n*B)-row matrices whose rows i*B ... i*B+B-1 belong to node i. Viewed as
@@ -19,10 +20,10 @@ matrix product and no layer needs to know B; `predict` maps the rows back to
 (B, n, horizon).
 
 The recurrent cells' input has rank r in the hidden dimension. A cell gives
-`autodiff.gru_unroll` its windows' features (L, m, r) and a learned
-(r, hidden) lift, and the unroll runs every timestep as one tape node. For
-T-GCN this needs the graph convolution to see only x_t, one value per node
-(a convolution of [x_t | h] would not reduce): then
+`autodiff.gru_unroll` its windows' rows viewed step-major, an (L, m, r)
+view, and a learned (r, hidden) lift, and the unroll runs every timestep
+as one tape node. For T-GCN this needs the graph convolution to see only
+x_t, one value per node (a convolution of [x_t | h] would not reduce): then
 relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t, so the
 convolution is the features [P·relu(y) | P·relu(−y)] (r = 2) times the lift
 relu([w0; −w0])·w1. For the GRU baseline x_t·w_in has r = 1.
@@ -64,19 +65,15 @@ def _is_bias(name):
     return name.startswith("b_") or name == "proj_b"
 
 
-def _by_step(by_node):
-    """An (n, T, r) array, stored node by node, as (T, n, r) features."""
-    return by_node.transpose(1, 0, 2)
-
-
 def _propagated(prop, series):
     """P·x_t of every timestep of a (T, n) series, as (n, T)."""
     return ad.graph_propagate(prop, np.ascontiguousarray(series.T)).data
 
 
 def _values(series):
-    """x_t itself: the features of the GRU and the historical average."""
-    return _by_step(np.ascontiguousarray(series.T)[..., None])
+    """(T, n) series -> (n, T, 1): x_t itself, the features of the GRU and
+    the historical average."""
+    return np.ascontiguousarray(series.T)[..., None]
 
 
 def read_stack(windows):
@@ -94,7 +91,7 @@ def read_stack(windows):
 
 
 class FeatureWindows(NamedTuple):
-    """Windows of a (T, n, r) feature series, stored node by node: window b
+    """Windows of an (n, T, r) feature series, stored node by node: window b
     covers timesteps starts[b] ... starts[b] + seq_len − 1."""
     features: np.ndarray
     starts: np.ndarray
@@ -104,21 +101,12 @@ class FeatureWindows(NamedTuple):
         """The windows idx, in that order."""
         return self._replace(starts=self.starts[idx])
 
-    def _take(self, steps):
-        # (n, *steps.shape, r), a contiguous run of timesteps per node
-        return np.take(self.features.transpose(1, 0, 2), steps, axis=1)
-
-    def by_step(self):
-        """(seq_len, n·B, r): step t's features of every window, node-major
-        rows."""
-        rows = self._take(self.starts + np.arange(self.seq_len)[:, None])
-        return np.ascontiguousarray(rows.transpose(1, 0, 2, 3)).reshape(
-            self.seq_len, -1, rows.shape[-1])
-
-    def by_window(self):
-        """(n·B, seq_len·r): each window's features, node-major rows."""
-        rows = self._take(self.starts[:, None] + np.arange(self.seq_len))
-        return rows.reshape(-1, self.seq_len * rows.shape[-1])
+    def rows(self):
+        """(n·B, seq_len, r), contiguous: each window's features, node-major
+        rows (rows i·B ... i·B + B − 1 are node i's windows)."""
+        rows = np.take(self.features,
+                       self.starts[:, None] + np.arange(self.seq_len), axis=1)
+        return rows.reshape(-1, *rows.shape[2:])
 
 
 class GcnEncoder:
@@ -141,15 +129,16 @@ class GcnEncoder:
         self.params = {"gcn.w0": self.w0, "gcn.w1": self.w1}
 
     def features(self, series):
-        """(T, n) series -> (T, n, 1): prop·x_t of every timestep."""
-        return _by_step(_propagated(self.propagation, series)[..., None])
+        """(T, n) series -> (n, T, 1): prop·x_t of every timestep."""
+        return _propagated(self.propagation, series)[..., None]
 
     def encode(self, windows, head):
         """prop·relu(Y·W0)·W1·head for FeatureWindows whose rows Y are each
         node's seq_len features."""
         w = self.w1 @ head  # recorded, so autodiff gives w1 and head gradients
-        return ad.graph_propagate(
-            self.propagation, ad.relu_mlp(windows.by_window(), self.w0, w))
+        y = windows.rows().reshape(-1, windows.seq_len)  # r = 1
+        return ad.graph_propagate(self.propagation,
+                                  ad.relu_mlp(y, self.w0, w))
 
     def forward(self, x, head):
         """prop·relu(prop·x·W0)·W1·head for a constant node-major stack x of
@@ -170,9 +159,9 @@ class TgcnCell:
     `params` holds w0 and w1 (as `gcn.w0`, `gcn.w1`), then the gate weights
     and biases (`GATE_PARAMS`), all also attributes, under their checkpoint
     names. The input transform has rank r in the hidden dimension, so a
-    cell supplies it as parameter-free per-timestep `features` (T, n, r)
+    cell supplies it as parameter-free per-timestep `features` (n, T, r)
     and a learned `lift` (r, hidden), and `autodiff.gru_unroll` runs the
-    gated updates on a window's steps of them.
+    gated updates on a window's steps of them, viewed step-major.
     """
 
     def __init__(self, propagation, hidden):
@@ -188,24 +177,25 @@ class TgcnCell:
         self.params = {**input_params, **gates}
 
     def features(self, series):
-        """(T, n) series -> the (T, n, 2) features [P·relu(y) | P·relu(−y)],
+        """(T, n) series -> the (n, T, 2) features [P·relu(y) | P·relu(−y)],
         y = P·x_t, of every timestep; P·relu(y·w0)·w1 equals
-        features[t]·lift()."""
+        features[:, t]·lift()."""
         prop = self.propagation
         y = _propagated(prop, series)
         z = np.empty(y.shape + (2,))
         np.maximum(y, 0.0, out=z[..., 0])
         np.maximum(-y, 0.0, out=z[..., 1])
         f = ad.graph_propagate(prop, z.reshape(len(prop), -1)).data
-        return _by_step(f.reshape(z.shape))
+        return f.reshape(z.shape)
 
     def lift(self):
         """relu([w0; −w0])·w1, recorded so that w0 and w1 get gradients."""
         return ad.relu(Tensor(SIGNS) @ self.w0) @ self.w1
 
-    def _unroll(self, feats, h0):
-        return ad.gru_unroll(feats, self.lift(), h0, self.w_u, self.w_r,
-                             self.w_c, self.b_u, self.b_r, self.b_c)
+    def _unroll(self, rows, h0):
+        # (m, L, r) rows as the step-major (L, m, r) view gru_unroll reads
+        return ad.gru_unroll(rows.transpose(1, 0, 2), self.lift(), h0,
+                             *(self.params[name] for name in GATE_PARAMS))
 
     def step(self, x_t, h_prev):
         """One update from the constant (m, 1) input x_t and state h_prev."""
@@ -215,10 +205,10 @@ class TgcnCell:
     def encode(self, windows, head):
         """Unroll FeatureWindows from a zero state; the last hidden state
         times head."""
-        feats = windows.by_step()
+        rows = windows.rows()
         # a zero-stride constant: the zero state takes no memory
         return self._unroll(
-            feats, np.broadcast_to(0.0, (feats.shape[1], self.hidden))) @ head
+            rows, np.broadcast_to(0.0, (len(rows), self.hidden))) @ head
 
 
 class GruCell(TgcnCell):
@@ -339,7 +329,8 @@ class SequenceModel:
         if not isinstance(windows, FeatureWindows):
             windows = self.feature_windows(windows)
         if self.encoder is None:  # the batch as one (seq_len, n*B) window
-            return Tensor(ha_predict(windows.by_step()[..., 0], self.horizon))
+            window = np.ascontiguousarray(windows.rows()[..., 0].T)
+            return Tensor(ha_predict(window, self.horizon))
         return self.encoder.encode(windows, self.proj_w) + self.proj_b
 
     def predict(self, windows):

@@ -32,10 +32,11 @@ class TrainConfig:
     clip: float = 5.0  # global gradient-norm clip; <= 0 disables
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "eval_every"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("batch_size", "epochs", "eval_every", "seed"):
+            value, least = getattr(self, name), int(name != "seed")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("lr", "weight_decay", "clip"):
             value = getattr(self, name)
             if not np.isfinite(value):  # NaN passes every comparison

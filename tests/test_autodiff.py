@@ -392,7 +392,11 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
     feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2)
     weight = Tensor(rng.standard_normal((m, 2)))
 
-    def run():
+    # the cells' layout: each row's steps stored together, read step-major
+    # through a strided view
+    rows = np.ascontiguousarray(feats.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+    def run(feats=feats):
         for x in xs:
             x.zero_grad()
         if not record:
@@ -403,15 +407,20 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
         return [out.data] + [x.grad for x in xs if x.requires_grad]
 
     serial = run()
+    assert not rows.flags.c_contiguous
+    for want, got in zip(serial, run(rows)):
+        assert got.tobytes() == want.tobytes()
     seen = _threads_seen(monkeypatch, 0.002)
     pool = PoisonPool()  # a buffer read before it is written shows as NaN
     with ad.threads(count), ad.reusing(pool):
         threaded = run()
+        threaded_rows = run(rows)
     assert 1 < len(seen) <= count
     assert pool.drawn > 0
-    assert len(threaded) == (8 if record else 1)
-    for want, got in zip(serial, threaded):
+    assert len(threaded) == len(threaded_rows) == (8 if record else 1)
+    for want, got, got_rows in zip(serial, threaded, threaded_rows):
         assert got.tobytes() == want.tobytes()
+        assert got_rows.tobytes() == want.tobytes()
     seen.clear()
     run()  # the binding ended with the block
     assert seen == {threading.get_ident()}
@@ -651,6 +660,25 @@ def test_run_rows_runs_each_block_once_and_sums_in_block_order(data):
     else:
         # a worker's error stops that worker alone
         assert sorted(taken) == list(range(n_blocks))
+
+
+def test_run_rows_adds_one_entry_slots_in_block_order(monkeypatch):
+    # numpy adds the entries of a lone axis pairwise, from 8 on: a slot of
+    # one entry (relu_mlp's, at horizon, seq_len and hidden 1) must still
+    # add in block order
+    monkeypatch.setattr(ad, "ROW_BLOCK", 1)
+    rng = np.random.default_rng(5)
+    for m in (8, 9, 40):
+        values = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
+
+        def task(s, e, slot, _):
+            slot += values[s]
+
+        total, = ad.run_rows(m, task, lambda rows: (None,), [(1, 1)])
+        want = np.zeros((1, 1))
+        for v in values:
+            want += v
+        assert total.tobytes() == want.tobytes()
 
 
 def test_threads_binding_is_per_thread_and_kept_when_nested():

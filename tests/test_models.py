@@ -15,6 +15,7 @@ from tgcn.graph import build_propagation
 from tgcn.models import (GATE_PARAMS, GcnEncoder, GruCell, SequenceModel,
                          TgcnCell, ha_predict, load_checkpoint,
                          save_checkpoint)
+from tgcn.training import predict_windows
 
 from test_autodiff import unfused_gru_step
 
@@ -300,6 +301,14 @@ def test_batch_predict_equals_stacked_single_windows(kind):
     assert np.all(np.ptp(want, axis=1) > 1e-3)
     assert got.shape == (3, 4, 2)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru", "ha"])
+def test_predict_on_zero_windows(kind):
+    model = _batch_model(kind)
+    empty = np.empty((0, 5, 4))
+    assert model.predict(empty).shape == (0, 4, 2)
+    assert predict_windows(model, empty).shape == (0, 4, 2)
 
 
 @pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru"])

@@ -127,6 +127,16 @@ def ring_setup(seq_len=4, horizon=1, timesteps=80):
     return prop, ds, train_ws, test_ws
 
 
+@pytest.mark.parametrize("name,value", [
+    ("seed", -1), ("seed", 1.5), ("batch_size", 2.5), ("epochs", 1.5),
+    ("eval_every", 2.0), ("batch_size", 0)])
+def test_train_config_refuses_what_train_would_crash_on(name, value):
+    # numpy takes no negative or fractional seed, and range() no float
+    with pytest.raises(ConfigError,
+                       match=rf"^{name} must be an integer >= \d, got {value}$"):
+        TrainConfig(**{name: value})
+
+
 def test_train_lr_zero_is_noop():
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
