@@ -232,8 +232,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, scale(other, -1.0) if isinstance(other, Tensor) else -other)
 
@@ -242,11 +240,6 @@ class Tensor:
 
     def __mul__(self, other):
         return hadamard(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -311,9 +304,8 @@ def _sigmoid_values(v, out=None):
 # -- primitives ------------------------------------------------------------
 
 def add(a, b):
-    """Elementwise sum; also accepts a python scalar or a (1, d) bias row."""
-    if not isinstance(a, Tensor):
-        a, b = _lift(b), a
+    """Elementwise sum of the Tensor a and b, which is a Tensor of a's shape,
+    a (1, d) bias row or a python scalar."""
     if not isinstance(b, Tensor):
         b_val = float(b)
 
@@ -338,9 +330,8 @@ def add(a, b):
 
 
 def hadamard(a, b):
-    """Elementwise product; one operand may be a python scalar."""
-    if not isinstance(a, Tensor):
-        a, b = _lift(b), a
+    """Elementwise product of the Tensor a and b, which is a Tensor of a's
+    shape or a python scalar."""
     if not isinstance(b, Tensor):
         return scale(a, float(b))
     if a.shape != b.shape:

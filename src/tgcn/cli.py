@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -153,26 +154,26 @@ def write_metrics_json(path, report, args, perturbation=None):
         Path(path).write_text(text + "\n")
     else:
         print(text)
-    return payload
 
 
-def _build_model(args, n_nodes, propagation):
-    """A fresh --model of the flags' sizes, its parameters zero."""
+@contextmanager
+def _buildable(args, nodes):
+    """A ConfigError naming the sizes when numpy refuses an allocation."""
     try:
-        return models.SequenceModel(args.model, n_nodes, args.hidden,
-                                    args.seq_len, args.horizon_steps,
-                                    propagation=propagation)
+        yield
     except (MemoryError, ValueError) as exc:  # numpy refused the allocation
         raise ConfigError(
-            f"sizes n_nodes={n_nodes}, --hidden {args.hidden}, --seq-len "
+            f"sizes {nodes}, --hidden {args.hidden}, --seq-len "
             f"{args.seq_len}, --horizon-steps {args.horizon_steps} are too "
             f"large to build ({exc})") from None
 
 
 def _train_once(args, parser):
     network, dataset, train_ws, test_ws, perturbation = _prepare(args, parser)
-    model = _build_model(args, dataset.n_nodes,
-                         network.propagation if network else None)
+    prop = network.propagation if network else None
+    with _buildable(args, f"n_nodes={dataset.n_nodes}"):
+        model = models.SequenceModel(args.model, dataset.n_nodes, args.hidden,
+                                     args.seq_len, args.horizon_steps, prop)
     history, best = [], {}
     if model.parameters():  # the historical average learns nothing
         model.init_parameters(args.seed)
@@ -270,14 +271,16 @@ def cmd_gradcheck(args, parser):
     if not (np.isfinite(args.tol) and args.tol > 0):  # else every check FAILs
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol:g}")
     rng = np.random.default_rng(args.seed)
-    adj = (rng.random((n, n)) < 0.5).astype(float)
-    adj = np.triu(adj, 1)
-    adj = adj + adj.T
-    prop = graph.build_propagation(adj)
-    model = _build_model(args, n, prop)
-    model.init_parameters(args.seed)
-    window = rng.random((args.seq_len, n))
-    target = rng.random((n, args.horizon_steps))
+    with _buildable(args, f"--nodes {n}"):
+        adj = (rng.random((n, n)) < 0.5).astype(float)
+        adj = np.triu(adj, 1)
+        adj = adj + adj.T
+        prop = graph.build_propagation(adj)
+        model = models.SequenceModel(args.model, n, args.hidden, args.seq_len,
+                                     args.horizon_steps, prop)
+        model.init_parameters(args.seed)
+        window = rng.random((args.seq_len, n))
+        target = rng.random((n, args.horizon_steps))
     params = model.parameters()
     names = list(params)
     tensors = [params[k] for k in names]

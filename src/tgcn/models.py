@@ -363,15 +363,16 @@ def save_checkpoint(model, path):
         "horizon": model.horizon,
         "params": [[name, list(p.shape)] for name, p in params.items()],
     }
+    for name, p in params.items():  # before the file is touched
+        if not np.all(np.isfinite(p.data)):
+            raise CheckpointError(f"{path}: refusing to save non-finite {name}")
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, p in params.items():
-            if not np.all(np.isfinite(p.data)):
-                raise CheckpointError("refusing to save non-finite parameters")
+        for p in params.values():
             fh.write(p.data.astype("<f8").tobytes())
 
 

@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -365,6 +366,56 @@ def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
 
     report = gradcheck(f, [x for x in xs if x.requires_grad], tol=1e-7)
     assert report.passed, report.per_input
+
+
+def _slowed_block(mp, block, slow):
+    """Make row block ``slow`` (of ``block`` rows) sleep before its work, so
+    that it ends after the blocks that follow it."""
+    probe_row_blocks(mp, lambda start: start // block == slow
+                     and time.sleep(0.002))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_gru_unroll_property(data):
+    """At any shape, row block and pair of thread counts, forward and
+    backward drawn apart, and in either grad mode, gru_unroll is the
+    unfused composition to 1e-12 and gives one thread's bytes."""
+    n_steps, m, r, p, k, block = (
+        data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40)),
+        data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+        data.draw(st.integers(1, 6)), data.draw(st.integers(1, 16)))
+    counts = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    record, zero_state = data.draw(st.booleans()), data.draw(st.booleans())
+    slow = data.draw(st.integers(0, -(-m // block) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    feats, xs = unroll_inputs(rng, n_steps, m, r, p, k, zero_state)
+    weight = Tensor(rng.standard_normal((m, k)))
+
+    def run(forward_count, backward_count):
+        for x in xs:
+            x.zero_grad()
+        with (ad.threads(forward_count), ad.reusing(PoisonPool()),
+              nullcontext() if record else ad.no_grad()):
+            out = ad.gru_unroll(feats, *xs)
+        if not record:
+            return [out.data]
+        with ad.threads(backward_count), ad.reusing(PoisonPool()):
+            ad.tensor_sum(out * weight).backward()
+        return [out.data] + [x.grad for x in xs if x.requires_grad]
+
+    want = unfused_unroll(feats, *xs)
+    ad.tensor_sum(want * weight).backward()
+    want = [want.data] + [x.grad for x in xs if x.requires_grad]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "ROW_BLOCK", block)
+        serial = run(1, 1)
+        _slowed_block(mp, block, slow)
+        threaded = run(*counts)
+    assert len(serial) == (8 if record else 1)
+    for got, ref, one in zip(threaded, want, serial):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        assert got.tobytes() == one.tobytes()
 
 
 def _threads_seen(monkeypatch, pause):
@@ -818,6 +869,42 @@ def test_relu_mlp_matches_composition(monkeypatch, o, block, m):
         # at most one thread per block
         assert len(seen) <= count
         assert (len(seen) > 1) == (count > 1 and m > block), count
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_relu_mlp_property(data):
+    """At any shape, row block and pair of thread counts, forward and
+    backward drawn apart, with entries of x·w0 exactly on the kink,
+    relu_mlp is relu(x·w0)·w1 to 1e-12 and gives one thread's bytes."""
+    m, d, hidden, o, block = (
+        data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4)),
+        data.draw(st.integers(2, 6)), data.draw(st.integers(1, 3)),
+        data.draw(st.integers(1, 16)))
+    counts = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    slow = data.draw(st.integers(0, -(-m // block) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x, w0, w1 = relu_mlp_inputs(rng, m, d, hidden, o)
+    weight = Tensor(rng.standard_normal((m, o)))
+
+    def run(forward_count, backward_count):
+        w0.zero_grad()
+        w1.zero_grad()
+        with ad.threads(forward_count), ad.reusing(PoisonPool()):
+            out = ad.relu_mlp(x, w0, w1)
+        with ad.threads(backward_count), ad.reusing(PoisonPool()):
+            ad.tensor_sum(out * weight).backward()
+        return out.data, w0.grad, w1.grad
+
+    want = _relu_mlp_and_grads(composed_relu_mlp, x, w0, w1, weight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "ROW_BLOCK", block)
+        serial = run(1, 1)
+        _slowed_block(mp, block, slow)
+        threaded = run(*counts)
+    for got, ref, one in zip(threaded, want, serial):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        assert got.tobytes() == one.tobytes()
 
 
 def test_relu_mlp_zero_activation_passes_no_gradient(monkeypatch):

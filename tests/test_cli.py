@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_csv
+from conftest import ring_adjacency, ring_series, write_csv
 from tgcn import cli, models, training
 from tgcn.graph import build_propagation
 
@@ -239,6 +239,101 @@ def test_perturb_sweep(tmp_path, ring_files):
         assert (tmp_path / f"metrics_gaussian_{sigma}.json").exists()
 
 
+def test_perturb_sweep_without_metrics_out_prints_each_setting(
+        tmp_path, ring_files, capsys):
+    adj, feat = ring_files
+    rc = run(["perturb", "--adj", adj, "--features", feat, "--model", "gru",
+              "--hidden", "4", "--seq-len", "4", "--epochs", "1",
+              "--batch", "64", "--eval-every", "1", "--seed", "7",
+              "--dist", "poisson", "--sweep",
+              "--sweep-out", str(tmp_path / "sweep.csv")])
+    assert rc == 0
+    out, payloads = capsys.readouterr().out.strip(), []
+    while out:  # one indented JSON object after another
+        payload, end = json.JSONDecoder().raw_decode(out)
+        payloads.append(payload)
+        out = out[end:].lstrip()
+    assert [p["perturbation"]["param"] for p in payloads] == list(
+        cli.POISSON_SWEEP)
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [
+        p["rmse"] for p in payloads]
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("given,missing", [
+    (["--param", "0.2"], "--dist"), (["--sweep"], "--dist"),
+    (["--dist", "gaussian"], "--param (or --sweep)")],
+    ids=["param", "sweep", "dist"])
+def test_perturb_usage_error(ring_files, capsys, given, missing):
+    adj, feat = ring_files
+    with pytest.raises(SystemExit) as exc:
+        run(["perturb", "--adj", adj, "--features", feat, *FAST, *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tgcn")
+    assert err.endswith(f"tgcn: error: perturb requires {missing}\n")
+
+
+@pytest.mark.parametrize("given", [["--dist", "gaussian"], ["--param", "0.2"]],
+                         ids=["dist", "param"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dist_and_param_only_together(tmp_path, ring_files, capsys, command,
+                                      given):
+    # eval fails on the flags before it reads the (absent) checkpoint
+    adj, feat = ring_files
+    rest = (FAST if command == "train" else
+            ["--seq-len", "4", "--checkpoint", str(tmp_path / "absent.ckpt")])
+    rc = run([command, "--adj", adj, "--features", feat, *rest, *given])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "--dist and --param must be given together"}
+
+
+def test_train_missing_zero_interpolates_zero_cells(tmp_path):
+    # a series with zero cells in both splits, trained with --missing-zero,
+    # scores as the same series with those cells interpolated over time
+    holes = ring_series()
+    holes[[5, 6, 200, 230], [1, 1, 4, 7]] = 0.0
+    filled = holes.copy()
+    t = np.arange(len(holes), dtype=np.float64)
+    for node in (1, 4, 7):
+        ok = holes[:, node] != 0.0
+        filled[:, node] = np.interp(t, t[ok], holes[ok, node])
+    adj = write_csv(tmp_path / "adj.csv", ring_adjacency())
+    payloads = []
+    for name, series, flags in [("holes", holes, ["--missing-zero"]),
+                                ("filled", filled, []),
+                                ("zeros", holes, [])]:
+        (tmp_path / name).mkdir()
+        feat = str(tmp_path / name / "speed.csv")
+        np.savetxt(feat, series, delimiter=",", fmt="%.17g")  # exact
+        metrics = tmp_path / name / "metrics.json"
+        assert run(["train", "--adj", adj, "--features", feat, "--model",
+                    "gcn", *FAST, "--metrics-out", str(metrics),
+                    *flags]) == 0
+        payload = read_json(metrics)
+        payload.pop("timestamp")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["rmse"] != payloads[2]["rmse"]
+
+
+def test_clip_zero_disables_clipping(tmp_path, ring_files):
+    # were a clip of 0 applied, it would zero every gradient
+    adj, feat = ring_files
+    histories = {}
+    for clip in ("0", "1e300", "1e-3"):
+        history = tmp_path / f"history_{clip}.csv"
+        assert run(["train", "--adj", adj, "--features", feat, "--model",
+                    "tgcn", *FAST, "--clip", clip,
+                    "--history-out", str(history)]) == 0
+        histories[clip] = history.read_bytes()
+    assert histories["0"] == histories["1e300"]
+    assert histories["0"] != histories["1e-3"]  # a clip that bites shows
+
+
 def test_gradcheck_command(capsys):
     rc = run(["gradcheck", "--model", "tgcn", "--nodes", "4", "--hidden", "3",
               "--seq-len", "2"])
@@ -318,21 +413,30 @@ def test_bad_training_flag_config_error(tmp_path, ring_files, capsys,
     assert not list(tmp_path.glob("model.ckpt*"))
 
 
-@pytest.mark.parametrize("command", ["train", "gradcheck"])
-def test_huge_hidden_config_error(tmp_path, ring_files, capsys, command):
+@pytest.mark.parametrize("command,flag,value", [
     # numpy refuses the (2·hidden, hidden) gate weights outright
+    pytest.param("train", "--hidden", "1000000000", id="train"),
+    pytest.param("gradcheck", "--hidden", "1000000000", id="gradcheck"),
+    # and gradcheck's random (nodes, nodes) graph, or its (seq_len, nodes)
+    # window
+    pytest.param("gradcheck", "--nodes", "1000000000", id="gradcheck-nodes"),
+    pytest.param("gradcheck", "--seq-len", "1000000000000000",
+                 id="gradcheck-seq-len"),
+])
+def test_huge_hidden_config_error(tmp_path, ring_files, capsys, command, flag,
+                                  value):
     adj, feat = ring_files
     ckpt = tmp_path / "model.ckpt"
     argv = (["gradcheck"] if command == "gradcheck" else
             ["train", "--adj", adj, "--features", feat, *FAST,
              "--out", str(ckpt)])
-    rc = run(argv + ["--hidden", "1000000000"])
+    rc = run(argv + [flag, value])
     assert rc == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     err = json.loads(err.strip())
     assert err["error"] == "ConfigError"
-    assert "--hidden 1000000000" in err["message"]
+    assert f"{flag} {value}" in err["message"]
     assert "too large to build" in err["message"]
     assert not list(tmp_path.glob("model.ckpt*"))
 

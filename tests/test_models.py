@@ -707,6 +707,30 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_byte(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(SequenceModel("gru", 2, 2, 2, 1), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_non_finite_before_writing(tmp_path):
+    # neither an existing checkpoint nor a new path is touched
+    model = SequenceModel("gru", 2, 2, 2, 1)
+    model.init_parameters(4)
+    kept, fresh = tmp_path / "kept.ckpt", tmp_path / "fresh.ckpt"
+    save_checkpoint(model, kept)
+    before = kept.read_bytes()
+    model.parameters()["proj_b"].data[...] = np.nan  # the last parameter
+    for path in (kept, fresh):
+        with pytest.raises(CheckpointError,
+                           match="refusing to save non-finite proj_b"):
+            save_checkpoint(model, path)
+    assert kept.read_bytes() == before
+    assert not fresh.exists()
+
+
 def test_checkpoint_graph_size_mismatch(tmp_path):
     rng = np.random.default_rng(20)
     prop = random_graph(rng, 4)
