@@ -8,6 +8,11 @@ Broadcasting is deliberately restricted: the only implicit broadcast is a
 (1, d) row vector added to an (m, d) matrix (bias over rows). Everything else
 must shape-match exactly so mistakes fail loudly.
 
+An operand that can receive a gradient is a ``Tensor``; only data that never
+receives one may be an array: ``graph_propagate``'s ``prop`` and ``x``,
+``relu_mlp``'s ``x`` and ``gru_unroll``'s ``feats`` and ``h0``. Any other
+constant operand is a Tensor without grad; ``scale`` takes a python number.
+
 While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
 with large results (``graph_propagate``, ``relu_mlp`` and ``gru_unroll``)
 draw their outputs, backward results and scratch from it instead of
@@ -59,15 +64,21 @@ def is_grad_enabled():
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording on this thread inside the block (inference /
-    evaluation)."""
-    prev = _local.enabled
-    _local.enabled = False
+def _bound(**fields):
+    """Set the fields of this thread's state inside the block, and restore
+    their values when it ends."""
+    prev = {name: getattr(_local, name) for name in fields}
+    _local.__dict__.update(fields)
     try:
         yield
     finally:
-        _local.enabled = prev
+        _local.__dict__.update(prev)
+
+
+def no_grad():
+    """Disable graph recording on this thread inside the block (inference /
+    evaluation)."""
+    return _bound(enabled=False)
 
 
 def _refcounts(bufs):
@@ -104,16 +115,10 @@ class BufferPool:
         return sum(map(len, self._kept.values()))
 
 
-@contextmanager
 def reusing(pool):
     """Draw the large arrays of the primitives called on this thread inside
     the block from ``pool`` (a training step)."""
-    prev = _local.pool
-    _local.pool = pool
-    try:
-        yield
-    finally:
-        _local.pool = prev
+    return _bound(pool=pool)
 
 
 def _empty(shape, dtype=np.float64):
@@ -132,14 +137,9 @@ def threads(count):
     if count == _local.threads:
         yield
         return
-    prev = _local.threads, _local.executor
-    with (ThreadPoolExecutor(count - 1) if count > 1
-          else nullcontext()) as executor:
-        _local.threads, _local.executor = count, executor
-        try:
-            yield
-        finally:
-            _local.threads, _local.executor = prev
+    workers = ThreadPoolExecutor(count - 1) if count > 1 else nullcontext()
+    with workers as executor, _bound(threads=count, executor=executor):
+        yield
 
 
 def run_rows(m, task, own, sums=()):
@@ -179,10 +179,7 @@ def run_rows(m, task, own, sums=()):
         wait(futures)
     for future in futures:
         future.result()
-    # numpy reduces a lone axis pairwise, so a one-entry shape's slots add
-    # one by one
-    return [np.add.reduce(slot, axis=0, initial=0.0) if np.prod(shape) > 1
-            else sum(slot, np.zeros(shape)) for slot, shape in zip(slots, sums)]
+    return [sum(slot, np.zeros(shape)) for slot, shape in zip(slots, sums)]
 
 
 class Tensor:
@@ -233,13 +230,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, scale(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(scale(self, -1.0), other)
-
-    def __mul__(self, other):
-        return hadamard(self, other)
+        return add(self, scale(other, -1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -304,15 +295,8 @@ def _sigmoid_values(v, out=None):
 # -- primitives ------------------------------------------------------------
 
 def add(a, b):
-    """Elementwise sum of the Tensor a and b, which is a Tensor of a's shape,
-    a (1, d) bias row or a python scalar."""
-    if not isinstance(b, Tensor):
-        b_val = float(b)
-
-        def bwd(g, a=a):
-            a._accumulate(g)
-
-        return Tensor._make(a.data + b_val, (a,), bwd)
+    """Elementwise sum of the Tensors a and b, b of a's shape or a (1, d)
+    bias row."""
     if a.shape == b.shape:
         def bwd(g, a=a, b=b):
             a._accumulate(g)
@@ -330,10 +314,7 @@ def add(a, b):
 
 
 def hadamard(a, b):
-    """Elementwise product of the Tensor a and b, which is a Tensor of a's
-    shape or a python scalar."""
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+    """Elementwise product of the Tensors a and b, of one shape."""
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: incompatible shapes {a.shape} and {b.shape}")
 
@@ -354,7 +335,6 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
@@ -392,7 +372,6 @@ def graph_propagate(prop, x):
 
 
 def sigmoid(x):
-    x = _lift(x)
     out = _sigmoid_values(x.data)
 
     def bwd(g, x=x, out=out):
@@ -402,7 +381,6 @@ def sigmoid(x):
 
 
 def tanh(x):
-    x = _lift(x)
     out = np.tanh(x.data)
 
     def bwd(g, x=x, out=out):
@@ -413,7 +391,6 @@ def tanh(x):
 
 def relu(x):
     # gradient at exactly 0 is defined as 0
-    x = _lift(x)
     mask = x.data > 0
 
     def bwd(g, x=x, mask=mask):
@@ -441,7 +418,6 @@ def relu_mlp(x, w0, w1):
         dw0       = Σ_j G_j∘w1[:, j]ᵀ
         dw1[:, j] = Σ_d w0[d, :]∘G_j[d, :]     (relu(a)ᵀ·g_j, as M∘a = relu(a))
     """
-    w0, w1 = _lift(w0), _lift(w1)
     x = np.asarray(x, dtype=np.float64)
     if (x.ndim != 2 or w0.data.ndim != 2 or w1.data.ndim != 2
             or x.shape[1] != w0.shape[0] or w0.shape[1] != w1.shape[0]):
@@ -484,8 +460,6 @@ def relu_mlp(x, w0, w1):
 
 
 def square(x):
-    x = _lift(x)
-
     def bwd(g, x=x):
         x._accumulate(g * 2.0 * x.data, fresh=True)
 
@@ -493,7 +467,6 @@ def square(x):
 
 
 def concat_cols(a, b):
-    a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
     p = a.shape[1]
@@ -546,8 +519,7 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     slots in block order once every block has run, so a failed block
     leaves no partial gradient. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
     """
-    lift, h0, w_u, w_r, w_c, b_u, b_r, b_c = map(
-        _lift, (lift, h0, w_u, w_r, w_c, b_u, b_r, b_c))
+    h0 = _lift(h0)
     feats = np.asarray(feats, dtype=np.float64)
     weights, biases = (w_u, w_r, w_c), (b_u, b_r, b_c)
     n_steps, m, r = feats.shape if feats.ndim == 3 else (0, -1, -1)
@@ -679,8 +651,6 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
 
 
 def tensor_sum(x):
-    x = _lift(x)
-
     def bwd(g, x=x):
         x._accumulate(np.broadcast_to(g, x.data.shape))
 
@@ -688,7 +658,6 @@ def tensor_sum(x):
 
 
 def tensor_mean(x):
-    x = _lift(x)
     n = x.data.size
 
     def bwd(g, x=x, n=n):

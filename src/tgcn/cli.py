@@ -243,6 +243,8 @@ def _write_predictions(path, preds):
 def cmd_perturb(args, parser):
     if args.dist is None:
         parser.error("perturb requires --dist")
+    if args.sweep and args.param is not None:
+        parser.error("perturb requires either --param or --sweep, not both")
     if not args.sweep:
         if args.param is None:
             parser.error("perturb requires --param (or --sweep)")

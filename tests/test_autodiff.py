@@ -133,7 +133,7 @@ SMOOTH_PRIMITIVES = [
     ("square", lambda xs: ad.tensor_sum(ad.square(xs[0]))),
     ("scale", lambda xs: ad.tensor_sum(ad.scale(xs[0], 2.5))),
     ("mean", lambda xs: ad.tensor_mean(ad.square(xs[0]))),
-    ("hadamard", lambda xs: ad.tensor_sum(xs[0] * xs[0])),
+    ("hadamard", lambda xs: ad.tensor_sum(ad.hadamard(xs[0], xs[0]))),
 ]
 
 
@@ -168,9 +168,16 @@ def test_gradcheck_sum_of_squares():
 
 def test_gradcheck_constant_function():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    report = gradcheck(lambda xs: ad.tensor_sum(ad.square(xs[0])) * 0.0, [x],
-                       tol=1e-10)
+    report = gradcheck(
+        lambda xs: ad.scale(ad.tensor_sum(ad.square(xs[0])), 0.0), [x],
+        tol=1e-10)
     assert report.passed
+
+
+def test_gradcheck_requires_a_scalar_f():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(ContractError, match="gradcheck: f must return a"):
+        gradcheck(lambda xs: ad.square(xs[0]), [x])
 
 
 def test_gradcheck_matmul_chain():
@@ -255,8 +262,8 @@ def unfused_gru_step(g, h, w_u, w_r, w_c, b_u, b_r, b_c):
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ w_u + b_u)
     r = ad.sigmoid(gh @ w_r + b_r)
-    c = ad.tanh(ad.concat_cols(g, r * h) @ w_c + b_c)
-    return u * h + (1.0 - u) * c
+    c = ad.tanh(ad.concat_cols(g, ad.hadamard(r, h)) @ w_c + b_c)
+    return ad.hadamard(u, h) + ad.hadamard(Tensor(np.ones(u.shape)) - u, c)
 
 
 def unfused_unroll(feats, lift, h0, *gates):
@@ -290,7 +297,7 @@ def test_gru_step_gradcheck(zero_state):
     assert len(inputs) == 7
 
     def f(_):
-        return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
+        return ad.tensor_sum(ad.hadamard(ad.gru_unroll(feats, *xs), weight))
 
     report = gradcheck(f, inputs, tol=1e-7)
     assert report.passed, report.per_input
@@ -309,7 +316,7 @@ def test_gru_step_matches_unfused_composition(m, p, k, zero_state):
             for x in xs:
                 x.zero_grad()
             out = unroll(feats, *xs)
-            ad.tensor_sum(out * weight).backward()
+            ad.tensor_sum(ad.hadamard(out, weight)).backward()
             outs.append(out.data)
             grads.append([x.grad for x in xs])
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
@@ -333,7 +340,7 @@ def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, zero_state):
     feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2, zero_state)
     weight = Tensor(rng.standard_normal((m, 2)))
     want = unfused_unroll(feats, *xs)
-    ad.tensor_sum(want * weight).backward()
+    ad.tensor_sum(ad.hadamard(want, weight)).backward()
     want_grads = [x.grad for x in xs]
     with ad.no_grad():
         assert np.max(np.abs(ad.gru_unroll(feats, *xs).data
@@ -341,7 +348,7 @@ def test_gru_unroll_row_blocks_match_unfused(monkeypatch, m, zero_state):
     for x in xs:
         x.zero_grad()
     out = ad.gru_unroll(feats, *xs)
-    ad.tensor_sum(out * weight).backward()
+    ad.tensor_sum(ad.hadamard(out, weight)).backward()
     assert np.max(np.abs(out.data - want.data)) <= 1e-12
     for x, unfused in zip(xs, want_grads):
         if not x.requires_grad:
@@ -362,7 +369,7 @@ def test_gru_unroll_gradcheck_across_row_blocks(monkeypatch):
     weight = Tensor(rng.standard_normal((m, 3)))
 
     def f(_):
-        return ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
+        return ad.tensor_sum(ad.hadamard(ad.gru_unroll(feats, *xs), weight))
 
     report = gradcheck(f, [x for x in xs if x.requires_grad], tol=1e-7)
     assert report.passed, report.per_input
@@ -401,11 +408,11 @@ def test_gru_unroll_property(data):
         if not record:
             return [out.data]
         with ad.threads(backward_count), ad.reusing(PoisonPool()):
-            ad.tensor_sum(out * weight).backward()
+            ad.tensor_sum(ad.hadamard(out, weight)).backward()
         return [out.data] + [x.grad for x in xs if x.requires_grad]
 
     want = unfused_unroll(feats, *xs)
-    ad.tensor_sum(want * weight).backward()
+    ad.tensor_sum(ad.hadamard(want, weight)).backward()
     want = [want.data] + [x.grad for x in xs if x.requires_grad]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "ROW_BLOCK", block)
@@ -454,7 +461,7 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
             with ad.no_grad():
                 return [ad.gru_unroll(feats, *xs).data]
         out = ad.gru_unroll(feats, *xs)
-        ad.tensor_sum(out * weight).backward()
+        ad.tensor_sum(ad.hadamard(out, weight)).backward()
         return [out.data] + [x.grad for x in xs if x.requires_grad]
 
     serial = run()
@@ -491,7 +498,8 @@ def test_gru_unroll_backward_runs_on_the_threads_bound_when_it_runs(
         for x in xs:
             x.zero_grad()
         with ad.threads(forward_count):
-            loss = ad.tensor_sum(ad.gru_unroll(feats, *xs) * weight)
+            loss = ad.tensor_sum(
+                ad.hadamard(ad.gru_unroll(feats, *xs), weight))
         with ad.threads(backward_count):
             loss.backward()
         return [x.grad for x in xs if x.requires_grad]
@@ -830,7 +838,7 @@ def _relu_mlp_and_grads(f, x, w0, w1, weight):
     w0.zero_grad()
     w1.zero_grad()
     out = f(x, w0, w1)
-    ad.tensor_sum(out * weight).backward()
+    ad.tensor_sum(ad.hadamard(out, weight)).backward()
     return out.data, w0.grad, w1.grad
 
 
@@ -893,7 +901,7 @@ def test_relu_mlp_property(data):
         with ad.threads(forward_count), ad.reusing(PoisonPool()):
             out = ad.relu_mlp(x, w0, w1)
         with ad.threads(backward_count), ad.reusing(PoisonPool()):
-            ad.tensor_sum(out * weight).backward()
+            ad.tensor_sum(ad.hadamard(out, weight)).backward()
         return out.data, w0.grad, w1.grad
 
     want = _relu_mlp_and_grads(composed_relu_mlp, x, w0, w1, weight)
@@ -936,7 +944,7 @@ def test_relu_mlp_gradcheck_across_row_blocks(monkeypatch):
     weight = Tensor(rng.standard_normal((m, 2)))
 
     def f(ws):
-        return ad.tensor_sum(ad.relu_mlp(x, *ws) * weight)
+        return ad.tensor_sum(ad.hadamard(ad.relu_mlp(x, *ws), weight))
 
     report = gradcheck(f, [w0, w1], tol=1e-7)
     assert report.passed, report.per_input
@@ -968,7 +976,7 @@ def test_relu_mlp_keeps_each_calls_mask_under_pool_reuse(monkeypatch):
         outs = [ad.relu_mlp(*args) for args in calls]
         assert drawn.count(np.dtype(bool)) == 2
         for out, weight in zip(outs, weights):
-            ad.tensor_sum(out * weight).backward()
+            ad.tensor_sum(ad.hadamard(out, weight)).backward()
     for (_, w0, w1), out, expected in zip(calls, outs, want):
         for got, ref in zip((out.data, w0.grad, w1.grad), expected):
             assert np.max(np.abs(got - ref)) <= 1e-12

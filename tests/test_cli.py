@@ -263,8 +263,10 @@ def test_perturb_sweep_without_metrics_out_prints_each_setting(
 
 @pytest.mark.parametrize("given,missing", [
     (["--param", "0.2"], "--dist"), (["--sweep"], "--dist"),
-    (["--dist", "gaussian"], "--param (or --sweep)")],
-    ids=["param", "sweep", "dist"])
+    (["--dist", "gaussian"], "--param (or --sweep)"),
+    (["--dist", "gaussian", "--param", "0.3", "--sweep"],
+     "either --param or --sweep, not both")],
+    ids=["param", "sweep", "dist", "param-and-sweep"])
 def test_perturb_usage_error(ring_files, capsys, given, missing):
     adj, feat = ring_files
     with pytest.raises(SystemExit) as exc:

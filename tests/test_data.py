@@ -144,6 +144,17 @@ def test_normalize_constant_raises():
         data.normalize(ds)
 
 
+def test_normalize_returns_a_normalized_dataset_unchanged():
+    norm = _norm_ds()
+    assert data.normalize(norm) is norm
+
+
+def test_denormalize_requires_statistics():
+    ds = make_dataset(np.arange(10.0)[:, None])
+    with pytest.raises(DataError, match="no normalization statistics"):
+        data.denormalize(ds, ds.values)
+
+
 def test_make_windows_counts_20_timesteps():
     # 20 timesteps, window 3, horizon 1, split at 16: 12 train, 4 test
     ds = data.normalize(make_dataset(np.arange(20.0)[:, None] + 1))
@@ -327,6 +338,15 @@ def test_noise_matrix_rejects_unusable_param(dist, param):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=re.escape(f"got {param}") + "$"):
             data.rescaled_noise_matrix((40, 4), dist, param, seed=1)
+
+
+@pytest.mark.parametrize("dist, param, shape", [
+    ("poisson", 1e-300, (40, 4)), ("gaussian", 0.4, (1, 1))])
+def test_noise_matrix_rejects_a_constant_draw(dist, param, shape):
+    # a Poisson rate this small draws only zeros, and one cell is its own
+    # minimum and maximum: neither has a range to rescale
+    with pytest.raises(ConfigError, match="degenerate noise matrix"):
+        data.rescaled_noise_matrix(shape, dist, param, seed=1)
 
 
 def test_add_noise_unknown_dist():

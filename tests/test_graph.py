@@ -62,6 +62,11 @@ def test_rejects_non_square():
         build_propagation(np.zeros((2, 3)))
 
 
+def test_rejects_empty():
+    with pytest.raises(InvalidGraph, match="adjacency is empty"):
+        build_propagation(np.zeros((0, 0)))
+
+
 def test_rejects_negative_entry():
     with pytest.raises(InvalidGraph):
         build_propagation([[0, -1], [-1, 0]])

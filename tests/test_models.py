@@ -190,7 +190,7 @@ def test_gate_ranges():
     gh = ad.concat_cols(g, h)
     u = ad.sigmoid(gh @ cell.w_u + cell.b_u).data
     r = ad.sigmoid(gh @ cell.w_r + cell.b_r).data
-    c = ad.tanh(ad.concat_cols(g, Tensor(r) * h)
+    c = ad.tanh(ad.concat_cols(g, ad.hadamard(Tensor(r), h))
                 @ cell.w_c + cell.b_c).data
     assert np.all((u > 0) & (u < 1))
     assert np.all((r > 0) & (r < 1))
@@ -240,6 +240,23 @@ def test_forward_wrong_window_length():
     model = SequenceModel("tgcn", 3, 4, 5, 1, propagation=prop)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gcn", "gru", "ha"])
+@pytest.mark.parametrize("nodes", [2, 6])
+def test_window_node_count_checked(kind, nodes):
+    # 6 nodes are a whole multiple of the graph's 3, which the propagation
+    # alone would not refuse
+    prop = random_graph(np.random.default_rng(12), 3)
+    model = SequenceModel(kind, 3, 4, 5, 1, propagation=prop)
+    with pytest.raises(ShapeError,
+                       match=f"window has {nodes} nodes, model expects 3"):
+        model.forward(np.zeros((5, nodes)))
+
+
+def test_unknown_model_kind_is_config_error():
+    with pytest.raises(ConfigError, match="unknown model kind 'lstm'"):
+        SequenceModel("lstm", 3, 4, 5, 1)
 
 
 @pytest.mark.parametrize("kind,sizes", [

@@ -137,6 +137,12 @@ def test_train_config_refuses_what_train_would_crash_on(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["lr", "weight_decay"])
+def test_train_config_refuses_a_negative_rate(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got -0.001$"):
+        TrainConfig(**{name: -1e-3})
+
+
 def test_train_lr_zero_is_noop():
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel("tgcn", 10, 4, 4, 1, propagation=prop)
