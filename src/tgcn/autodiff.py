@@ -29,6 +29,7 @@ depend on the number of threads.
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -271,11 +272,10 @@ def _recording(inputs):
     return is_grad_enabled() and any(t.requires_grad for t in inputs)
 
 
-def _ones_column(shape, col):
-    """A buffer from ``_empty`` whose column ``col`` is 1.0."""
-    buf = _empty(shape)
-    buf[:, col] = 1.0
-    return buf
+def _shaped(buf, *shape):
+    """The leading entries of the flat array buf as a contiguous array of
+    the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _sigmoid_values(v, out=None):
@@ -299,15 +299,18 @@ def add(a, b):
     bias row."""
     if a.shape == b.shape:
         def bwd(g, a=a, b=b):
-            a._accumulate(g)
-            b._accumulate(g)
+            for t in (a, b):
+                if t.requires_grad:
+                    t._accumulate(g)
 
         return Tensor._make(a.data + b.data, (a, b), bwd)
     if (a.data.ndim == 2 and b.data.ndim == 2
             and b.shape == (1, a.shape[1])):
         def bwd(g, a=a, b=b):
-            a._accumulate(g)
-            b._accumulate(g.sum(axis=0, keepdims=True), fresh=True)
+            if a.requires_grad:
+                a._accumulate(g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0, keepdims=True), fresh=True)
 
         return Tensor._make(a.data + b.data, (a, b), bwd)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -319,8 +322,9 @@ def hadamard(a, b):
         raise ShapeError(f"hadamard: incompatible shapes {a.shape} and {b.shape}")
 
     def bwd(g, a=a, b=b):
-        a._accumulate(g * b.data, fresh=True)
-        b._accumulate(g * a.data, fresh=True)
+        for t, other in ((a, b), (b, a)):
+            if t.requires_grad:
+                t._accumulate(g * other.data, fresh=True)
 
     return Tensor._make(a.data * b.data, (a, b), bwd)
 
@@ -472,8 +476,9 @@ def concat_cols(a, b):
     p = a.shape[1]
 
     def bwd(g, a=a, b=b, p=p):
-        a._accumulate(g[:, :p])
-        b._accumulate(g[:, p:])
+        for t, part in ((a, g[:, :p]), (b, g[:, p:])):
+            if t.requires_grad:
+                t._accumulate(part)
 
     return Tensor._make(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
@@ -487,13 +492,13 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     initial state, also a constant: a recording call refuses one that
     requires grad. Each weight is (p + k, k) and each bias (1, k). A weight's
     first p rows W_g act on the input and its last k rows W_h on the state.
-    The lift folds into V = lift·W_g once per call, and a constant column
-    of ones carries the biases, so with σ the logistic function step t is
-    two GEMMs:
+    The lift folds into V = lift·W_g once per call, and a constant row of
+    ones carries the biases, so with σ the logistic function step t is two
+    GEMMs on feature-major blocks, one column per row of the result:
 
-        u, r = σ([feats_t | 1 | h]·[V_u V_r; b_u b_r; W_u,h W_r,h])
-        c    = tanh([feats_t | 1 | r∘h]·[V_c; b_c; W_c,h])
-        h   <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
+        [u; r] = σ([V_u V_r; b_u b_r; W_u,h W_r,h]ᵀ·[feats_tᵀ; 1; h])
+        c      = tanh([V_c; b_c; W_c,h]ᵀ·[feats_tᵀ; 1; r∘h])
+        h     <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
     and the result is h after step L. No row's update reads another row,
     so the rows run in blocks of ROW_BLOCK (the last one shorter), and each
@@ -502,13 +507,18 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     from memory on every step. The blocks run on the threads bound with
     ``threads`` (``run_rows``), the calling thread included.
 
-    A block's state lives only in its rows of the result, set from h0 and
-    updated in place; each step copies feats_t and the state into its
-    [feats_t | 1 | h] rows. When recording, those rows, [u|r] and c are kept
-    for every step in three (L, m, ·) blocks allocated once, so the copy
-    keeps h_{t−1} for the backward, and r∘h goes to a block-sized
-    [feats_t | 1 | r∘h] per thread; else each thread's steps reuse one
-    block-sized set of the three and r∘h overwrites the copy of h.
+    A block is stored feature-major, so u, r, h and r∘h are whole
+    contiguous row ranges: x = [feats_tᵀ; 1; h] is (q + k, rows) with
+    q = r + 1, [u; r] is (2k, rows), c and the backward's scratch (k, rows).
+    Only feats (once per call, to (L, r, m)), h0, the final state and the
+    incoming gradient are transposed. The state lives in x's last k rows:
+    under ``no_grad`` each thread's steps reuse one x, [u; r] and c, and
+    update the state in place; when recording, every step's are kept, each
+    array in one flat L·m·width buffer whose (L, width, rows) slab for rows
+    s:e starts at L·width·s, and each update writes the next step's kept
+    state rows, so x at step t holds h_{t−1} for the backward. r∘h goes to
+    a per-thread [feats_tᵀ; 1; r∘h]. Every per-thread scratch is drawn flat
+    and shaped per block, so the short last block is contiguous too.
     The backward runs on the threads bound when it runs, which need not be
     the forward's. It replays each row block's steps in reverse with
     block-sized scratch per thread, and forms no state gradient at the
@@ -538,99 +548,104 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         raise ContractError("gru_unroll: h0 requires grad, but the first "
                             "state gets no gradient")
     record = _recording((lift,) + weights + biases)
-    q = r + 1  # the columns before the state: feats_t and the ones
+    q = r + 1  # the rows before the state: feats_tᵀ and the ones
     wg_ur = np.concatenate([w_u.data[:p], w_r.data[:p]], axis=1)
     w_ur = np.concatenate([  # (q + k, 2k)
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
         np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
+    feats_fm = _empty((n_steps, r, m))
+    feats_fm[...] = feats.transpose(0, 2, 1)
     out = _empty((m, k))
-    # [feats_t | 1 | h_{t-1}], [u|r] and c: every step's rows when
-    # recording, which the threads share, else one block's rows per
-    # thread, reused by every step
+    # x = [feats_tᵀ; 1; h_{t-1}], [u; r] and c: every step's, flat, when
+    # recording, which the threads share, else one block's per thread,
+    # reused by every step
     widths = (q + k, 2 * k, k)
-    kept = [_empty((n_steps, m, w)) for w in widths] if record else None
+    kept = [_empty((n_steps * m * w,)) for w in widths] if record else None
+
+    def slabs(bufs, s, e, steps):
+        # rows s:e of each flat buffer as its contiguous (steps, w, e - s)
+        return [_shaped(buf[steps * w * s:], steps, w, e - s)
+                for buf, w in zip(bufs, widths)]
 
     def own(rows):
-        # and, when recording, a [feats_t | 1 | r∘h] per thread
-        if record:
-            return (*kept, _ones_column((rows, q + k), r))
-        return (*(_empty((1, rows, w)) for w in widths), None)
+        # a [feats_tᵀ; 1; r∘h] per thread, then, when recording, a final
+        # state, else a block's x, [u; r] and c
+        return [_empty((w * rows,))
+                for w in ((q + k, k) if record else (q + k, *widths))]
 
-    def forward(s, e, xh, ur, c, xr_):
-        rs = slice(s, e) if record else slice(0, e - s)
-        xh[:, rs, r] = 1.0
-        state = out[s:e]
-        state[...] = h0.data[s:e]
+    def forward(s, e, xr_, *mine):
+        b = e - s
+        xh, ur, c = slabs(kept, s, e, n_steps) if record else slabs(
+            mine, 0, b, 1)
+        xr = _shaped(xr_, q + k, b)
+        xh[:, r] = xr[r] = 1.0
+        xh[0, q:] = h0.data[s:e].T
+        last = _shaped(mine[0], k, b) if record else xh[0, q:]
         for t in range(n_steps):
             i = t if record else 0
-            x, z, cand = xh[i, rs], ur[i, rs], c[i, rs]
-            x[:, :r] = feats[t, s:e]
-            x[:, q:] = state
-            np.matmul(x, w_ur, out=z)
+            x, z, cand = xh[i], ur[i], c[i]
+            h = x[q:]
+            x[:r] = feats_fm[t, :, s:e]
+            np.matmul(w_ur.T, x, out=z)
             _sigmoid_values(z, out=z)
-            u, rg = z[:, :k], z[:, k:]
-            # r∘h beside a copy of feats_t, or unkept over x's copy of h
-            xr = x
-            if record:
-                xr = xr_[:e - s]
-                xr[:, :r] = x[:, :r]
-            np.multiply(rg, state, out=xr[:, q:])
-            np.matmul(xr, w_xc, out=cand)
+            xr[:r] = x[:r]
+            np.multiply(z[k:], h, out=xr[q:])
+            np.matmul(w_xc.T, xr, out=cand)
             np.tanh(cand, out=cand)
-            state -= cand
-            state *= u
-            state += cand
+            # into the next step's kept state rows, or over h
+            nxt = xh[i + 1, q:] if i + 1 < len(xh) else last
+            np.subtract(h, cand, out=nxt)
+            nxt *= z[:k]
+            nxt += cand
+        out[s:e] = last.T
 
     run_rows(m, forward, own)
 
     def bwd(grad):
-        xh, ur, c = kept
+        # a block's slots s_ur and s_c sum x·dzᵀ and [feats_tᵀ; 1; r∘h]·dcᵀ
+        # over its steps: dV, then the bias gradients, then the state rows'
+        # gradients
+        flat = (q + k,) + (k,) * 4 + (2 * k,) * 2
 
-        # a block's slots s_ur and s_c sum [feats_t | 1 | h]ᵀ·dz and
-        # [feats_t | 1 | r∘h]ᵀ·dc over its steps: dV, then the bias
-        # gradients, then the state rows' gradients
-        def replay(s, e, s_ur, s_c, xr_, dh_, gu_, dc_, drh_, du_, dz_,
-                   dsig_, t_ur, t_c):
-            b = e - s
-            dh, gu, dc, drh = dh_[:b], gu_[:b], dc_[:b], drh_[:b]
-            du, dz, dsig, xr = du_[:b], dz_[:b], dsig_[:b], xr_[:b]
-            dh[...] = grad[s:e]
+        def replay(s, e, s_ur, s_c, t_ur, t_c, *mine):
+            xh, ur, c = slabs(kept, s, e, n_steps)
+            xr, dh, gu, dc, drh, dz, dsig = (
+                _shaped(buf, w, e - s) for buf, w in zip(mine, flat))
+            xr[r] = 1.0
+            dh[...] = grad[s:e].T
             for t in reversed(range(n_steps)):
-                x, z, cand = xh[t, s:e], ur[t, s:e], c[t, s:e]
-                h, u, rg = x[:, q:], z[:, :k], z[:, k:]
+                x, z, cand = xh[t], ur[t], c[t]
+                h, u, rg = x[q:], z[:k], z[k:]
                 np.multiply(dh, u, out=gu)
                 # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
                 np.subtract(dh, gu, out=dc)
                 np.multiply(cand, cand, out=drh)
                 np.subtract(1.0, drh, out=drh)
                 dc *= drh
-                np.matmul(dc, w_xc[q:].T, out=drh)  # d(r∘h)
-                # the update and reset pre-activations side by side,
-                # through σ' = σ(1 − σ)
-                # (h − c)∘dh on contiguous rows, not on dz's column slice
-                np.subtract(h, cand, out=du)
-                du *= dh
-                dz[:, :k] = du
-                np.multiply(drh, h, out=dz[:, k:])
+                np.matmul(w_xc[q:], dc, out=drh)  # d(r∘h)
+                # the update and reset pre-activations, through
+                # σ' = σ(1 − σ)
+                np.subtract(h, cand, out=dz[:k])
+                dz[:k] *= dh
+                np.multiply(drh, h, out=dz[k:])
                 np.subtract(1.0, z, out=dsig)
                 dsig *= z
                 dz *= dsig
-                s_ur += np.matmul(x.T, dz, out=t_ur)
-                xr[:, :r] = x[:, :r]
-                np.multiply(rg, h, out=xr[:, q:])
-                s_c += np.matmul(xr.T, dc, out=t_c)
+                s_ur += np.matmul(x, dz.T, out=t_ur)
+                xr[:r] = x[:r]
+                np.multiply(rg, h, out=xr[q:])
+                s_c += np.matmul(xr, dc.T, out=t_c)
                 if t:
-                    np.matmul(dz, w_ur[q:].T, out=dh)
+                    np.matmul(w_ur[q:], dz, out=dh)
                     dh += gu
                     np.multiply(drh, rg, out=gu)
                     dh += gu
 
         def scratch(rows):
-            # a thread's block-sized scratch, then its t_ur and t_c
-            return (_ones_column((rows, q + k), r),
-                    *map(_empty, [(rows, k)] * 5 + [(rows, 2 * k)] * 2),
-                    np.empty((q + k, 2 * k)), np.empty((q + k, k)))
+            # a thread's t_ur and t_c, then its flat block scratch
+            return (np.empty((q + k, 2 * k)), np.empty((q + k, k)),
+                    *(_empty((w * rows,)) for w in flat))
 
         g_ur, g_c = run_rows(m, replay, scratch,
                              [(q + k, 2 * k), (q + k, k)])

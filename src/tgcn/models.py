@@ -21,8 +21,9 @@ matrix product and no layer needs to know B; `predict` maps the rows back to
 
 The recurrent cells' input has rank r in the hidden dimension. A cell gives
 `autodiff.gru_unroll` its windows' rows viewed step-major, an (L, m, r)
-view, and a learned (r, hidden) lift, and the unroll runs every timestep
-as one tape node. For T-GCN this needs the graph convolution to see only
+view, and a learned (r, hidden) lift. The unroll copies the view once
+into its own feature-major (L, r, m) layout and runs every timestep as
+one tape node. For T-GCN this needs the graph convolution to see only
 x_t, one value per node (a convolution of [x_t | h] would not reduce): then
 relu(y·w0) = relu(y)·relu(w0) + relu(−y)·relu(−w0) for y = P·x_t, so the
 convolution is the features [P·relu(y) | P·relu(−y)] (r = 2) times the lift

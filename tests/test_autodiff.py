@@ -94,6 +94,43 @@ def test_gradient_accumulation_two_paths():
     assert x.grad == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("name", ["add", "add_bias", "hadamard",
+                                  "concat_cols"])
+@pytest.mark.parametrize("const", [0, 1])
+def test_binary_primitive_gives_a_constant_operand_no_gradient(name, const):
+    rng = np.random.default_rng(41)
+    shapes = ((3, 2), (1, 2)) if name == "add_bias" else ((3, 2), (3, 2))
+    f = getattr(ad, name.removesuffix("_bias"))
+    data = [rng.standard_normal(s) for s in shapes]
+    weight = Tensor(rng.standard_normal(f(*map(Tensor, data)).shape))
+
+    def grads(constant):
+        ts = [Tensor(d, requires_grad=i != constant)
+              for i, d in enumerate(data)]
+        ad.tensor_sum(ad.hadamard(f(*ts), weight)).backward()
+        return [t.grad for t in ts]
+
+    both, got = grads(None), grads(const)
+    assert got[const] is None and weight.grad is None
+    assert got[1 - const].tobytes() == both[1 - const].tobytes()
+
+
+def test_subtracting_a_constant_gives_its_negation_no_gradient():
+    # the loss's pred − truth: the unrecorded −truth takes no copy of the
+    # gradient
+    rng = np.random.default_rng(42)
+    data = rng.standard_normal((2, 4, 3))
+    grads = []
+    for constant in (False, True):
+        pred = Tensor(data[0], requires_grad=True)
+        truth = Tensor(data[1], requires_grad=not constant)
+        neg = ad.scale(truth, -1.0)
+        ad.tensor_mean(ad.square(pred + neg)).backward()
+        grads.append(pred.grad)
+    assert neg.grad is None and truth.grad is None
+    assert grads[1].tobytes() == grads[0].tobytes()
+
+
 def test_backward_deterministic():
     rng = np.random.default_rng(5)
     data = rng.random((4, 4))
@@ -482,6 +519,81 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
     seen.clear()
     run()  # the binding ended with the block
     assert seen == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_gru_unroll_reads_input_views_as_their_contiguous_copies(
+        monkeypatch, record):
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(43)
+    m = 2 * BLOCK + 3
+    feats, xs = unroll_inputs(rng, 3, m, 2, 3, 2)
+    weight = Tensor(rng.standard_normal((m, 2)))
+    h0 = xs[1].data
+    # the cells' (m, L, r) rows read step-major; a state stored transposed,
+    # and one read as every other column of a wider array
+    rows = np.ascontiguousarray(feats.transpose(1, 0, 2)).transpose(1, 0, 2)
+    views = [np.ascontiguousarray(h0.T).T, np.repeat(h0, 2, axis=1)[:, ::2]]
+    assert not any(v.flags.c_contiguous for v in [rows, *views])
+
+    def run(feats, h0):
+        for x in xs:
+            x.zero_grad()
+        with nullcontext() if record else ad.no_grad():
+            out = ad.gru_unroll(feats, xs[0], h0, *xs[2:])
+        if not record:
+            return [out.data]
+        ad.tensor_sum(ad.hadamard(out, weight)).backward()
+        return [out.data] + [x.grad for x in xs if x.requires_grad]
+
+    want = run(np.ascontiguousarray(feats), h0.copy())
+    assert len(want) == (8 if record else 1)
+    for f, h in [(rows, h0), *((feats, v) for v in views), (rows, views[0])]:
+        for a, b in zip(want, run(f, h)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_gru_unroll_gate_overflow_is_silent_on_worker_threads(
+        monkeypatch, record):
+    """Gate pre-activations below −709 overflow exp(−v) on whichever thread
+    runs their block: σ reads 0 with no RuntimeWarning there, and the
+    results are finite and the same bytes at one and two threads."""
+    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
+    rng = np.random.default_rng(44)
+    m, p, k = 4 * BLOCK, 3, 2
+    feats, xs = unroll_inputs(rng, 3, m, 2, p, k)
+    for x in xs[2:]:
+        x.data *= 1e4
+    weight = Tensor(rng.standard_normal((m, k)))
+    # step 0's update and reset pre-activations overflow in every block
+    w_ur = np.concatenate([w.data for w in xs[2:4]], axis=1)
+    b_ur = np.concatenate([b.data for b in xs[5:7]], axis=1)
+    z0 = (feats[0] @ xs[0].data @ w_ur[:p] + b_ur + xs[1].data @ w_ur[p:])
+    assert (z0.reshape(-1, BLOCK * 2 * k) < -709).any(axis=1).all()
+    seen = set()
+    probe_row_blocks(monkeypatch, lambda start: (
+        seen.add(threading.get_ident()), time.sleep(0.002)))
+
+    def run(count):
+        for x in xs:
+            x.zero_grad()
+        with (warnings.catch_warnings(), ad.threads(count),
+              nullcontext() if record else ad.no_grad()):
+            warnings.simplefilter("error")
+            out = ad.gru_unroll(feats, *xs)
+            if not record:
+                return [out.data]
+            ad.tensor_sum(ad.hadamard(out, weight)).backward()
+        return [out.data] + [x.grad for x in xs if x.requires_grad]
+
+    one = run(1)
+    seen.clear()
+    two = run(2)
+    assert len(seen) == 2  # a worker ran blocks
+    assert len(one) == (8 if record else 1)
+    for a, b in zip(one, two):
+        assert np.isfinite(b).all() and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("counts", [(2, 1), (1, 3), (3, 2)])
