@@ -279,15 +279,17 @@ def _shaped(buf, *shape):
 
 
 def _sigmoid_values(v, out=None):
-    """Logistic function 1/(1 + exp(-v)) with one transcendental per element
-    and no scratch arrays; ``out`` may be ``v`` itself. Below v ≈ -709
-    exp(-v) overflows to inf and σ reads 0, within 1e-307 of its true
-    value, so that overflow is not reported. The errstate is entered here,
-    on the thread that computes: it is a context variable, which the
+    """The logistic function of the negated pre-activation v, 1/(1 + exp(v)),
+    with one transcendental per element and no scratch arrays; ``out`` may
+    be ``v`` itself. Callers fold the negation into what produces v
+    (``gru_unroll``'s gate weights) or negate it first (``sigmoid``). Above
+    v ≈ 709 exp(v) overflows to inf and σ reads 0, within 1e-307 of its
+    true value, so that overflow is not reported. The errstate is entered
+    here, on the thread that computes: it is a context variable, which the
     workers of ``threads`` do not inherit from their caller."""
-    out = np.negative(v, out=np.empty_like(v) if out is None else out)
+    out = np.empty_like(v) if out is None else out
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        np.exp(v, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -376,7 +378,7 @@ def graph_propagate(prop, x):
 
 
 def sigmoid(x):
-    out = _sigmoid_values(x.data)
+    out = _sigmoid_values(np.negative(x.data))
 
     def bwd(g, x=x, out=out):
         x._accumulate(g * out * (1.0 - out), fresh=True)
@@ -490,44 +492,55 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     constant (L, m, r) array, which may be any view (the cells pass their
     (m, L, r) rows transposed), and lift an (r, p) Tensor. h0 is the (m, k)
     initial state, also a constant: a recording call refuses one that
-    requires grad. Each weight is (p + k, k) and each bias (1, k). A weight's
-    first p rows W_g act on the input and its last k rows W_h on the state.
-    The lift folds into V = lift·W_g once per call, and a constant row of
-    ones carries the biases, so with σ the logistic function step t is two
-    GEMMs on feature-major blocks, one column per row of the result:
+    requires grad, and its backward reads h0 again, so the caller must not
+    write to it until then. Each weight is (p + k, k) and each bias (1, k).
+    A weight's first p rows W_g act on the input and its last k rows W_h on
+    the state. The lift folds into V = lift·W_g once per call, and a
+    constant row of ones carries the biases, so with σ the logistic
+    function step t is two GEMMs on feature-major blocks, one column per
+    row of the result:
 
         [u; r] = σ([V_u V_r; b_u b_r; W_u,h W_r,h]ᵀ·[feats_tᵀ; 1; h])
         c      = tanh([V_c; b_c; W_c,h]ᵀ·[feats_tᵀ; 1; r∘h])
         h     <- c + u∘(h − c)                        (= u∘h + (1 − u)∘c)
 
-    and the result is h after step L. No row's update reads another row,
-    so the rows run in blocks of ROW_BLOCK (the last one shorter), and each
-    block runs all L steps before the next block starts: the buffers a step
-    touches stay in cache across the window instead of streaming all m rows
-    from memory on every step. The blocks run on the threads bound with
-    ``threads`` (``run_rows``), the calling thread included.
+    and the result is h after step L. The gates' GEMM runs on the negated
+    weights, since (−W)ᵀx is exactly −(Wᵀx) and σ's values take the
+    negated pre-activation (``_sigmoid_values``). No row's update reads
+    another row, so the rows run in blocks of ROW_BLOCK (the last one
+    shorter), and each block runs all L steps before the next block starts:
+    the buffers a step touches stay in cache across the window instead of
+    streaming all m rows from memory on every step. The blocks run on the
+    threads bound with ``threads`` (``run_rows``), the calling thread
+    included.
 
     A block is stored feature-major, so u, r, h and r∘h are whole
     contiguous row ranges: x = [feats_tᵀ; 1; h] is (q + k, rows) with
     q = r + 1, [u; r] is (2k, rows), c and the backward's scratch (k, rows).
     Only feats (once per call, to (L, r, m)), h0, the final state and the
-    incoming gradient are transposed. The state lives in x's last k rows:
-    under ``no_grad`` each thread's steps reuse one x, [u; r] and c, and
-    update the state in place; when recording, every step's are kept, each
+    incoming gradient are transposed. In both grad modes each thread's
+    steps reuse one x, whose last k rows hold the state, updated in place,
+    and one [feats_tᵀ; 1; r∘h]. Under ``no_grad`` they also reuse one
+    [u; r] and c; when recording, every step's [u; r] and c are kept, each
     array in one flat L·m·width buffer whose (L, width, rows) slab for rows
-    s:e starts at L·width·s, and each update writes the next step's kept
-    state rows, so x at step t holds h_{t−1} for the backward. r∘h goes to
-    a per-thread [feats_tᵀ; 1; r∘h]. Every per-thread scratch is drawn flat
-    and shaped per block, so the short last block is contiguous too.
+    s:e starts at L·width·s: L·m·3k floats, and no state. Every per-thread
+    scratch is drawn flat and shaped per block, so the short last block is
+    contiguous too.
+
     The backward runs on the threads bound when it runs, which need not be
-    the forward's. It replays each row block's steps in reverse with
-    block-sized scratch per thread, and forms no state gradient at the
-    first step, since h0 is a constant. Its GEMMs with the same left
-    operands sum dV = Σ_t feats_tᵀ·dz_t over the pre-activations' gradients
-    dz_t, the bias gradients and the state rows' gradients, over each
-    block's steps into that block's own slot, and ``run_rows`` adds the
-    slots in block order once every block has run, so a failed block
-    leaves no partial gradient. lift gets dV·W_gᵀ and W_g gets liftᵀ·dV.
+    the forward's. For each row block it first replays the block's states
+    into a per-thread (L, q + k, rows) x, from the block's own h0 rows and
+    the kept u and c, with the forward's own update, so they are the
+    forward's bits and no GEMM runs again (the cheap end of Gruslys et al.,
+    "Memory-Efficient Backpropagation Through Time", arXiv:1606.03401). It
+    then runs the block's steps in reverse with block-sized scratch, and
+    forms no state gradient at the first step, since h0 is a constant. Its
+    GEMMs with the same left operands sum dV = Σ_t feats_tᵀ·dz_t over the
+    pre-activations' gradients dz_t, the bias gradients and the state rows'
+    gradients, over each block's steps into that block's own slot, and
+    ``run_rows`` adds the slots in block order once every block has run, so
+    a failed block leaves no partial gradient. lift gets dV·W_gᵀ and W_g
+    gets liftᵀ·dV.
     """
     h0 = _lift(h0)
     feats = np.asarray(feats, dtype=np.float64)
@@ -550,17 +563,18 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
     record = _recording((lift,) + weights + biases)
     q = r + 1  # the rows before the state: feats_tᵀ and the ones
     wg_ur = np.concatenate([w_u.data[:p], w_r.data[:p]], axis=1)
-    w_ur = np.concatenate([  # (q + k, 2k)
+    # (q + k, 2k), negated: the gates' GEMM gives the negated pre-activation
+    # that σ's values take, and (−W)ᵀx is exactly −(Wᵀx)
+    w_ur = np.negative(np.concatenate([
         lift.data @ wg_ur, np.concatenate([b_u.data, b_r.data], axis=1),
-        np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)])
+        np.concatenate([w_u.data[p:], w_r.data[p:]], axis=1)]))
     w_xc = np.concatenate([lift.data @ w_c.data[:p], b_c.data, w_c.data[p:]])
     feats_fm = _empty((n_steps, r, m))
     feats_fm[...] = feats.transpose(0, 2, 1)
     out = _empty((m, k))
-    # x = [feats_tᵀ; 1; h_{t-1}], [u; r] and c: every step's, flat, when
-    # recording, which the threads share, else one block's per thread,
-    # reused by every step
-    widths = (q + k, 2 * k, k)
+    # [u; r] and c: every step's, flat, when recording, which the threads
+    # share, else one block's per thread, reused by every step
+    widths = (2 * k, k)
     kept = [_empty((n_steps * m * w,)) for w in widths] if record else None
 
     def slabs(bufs, s, e, steps):
@@ -568,24 +582,30 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         return [_shaped(buf[steps * w * s:], steps, w, e - s)
                 for buf, w in zip(bufs, widths)]
 
-    def own(rows):
-        # a [feats_tᵀ; 1; r∘h] per thread, then, when recording, a final
-        # state, else a block's x, [u; r] and c
-        return [_empty((w * rows,))
-                for w in ((q + k, k) if record else (q + k, *widths))]
+    def advance(h, u, cand, nxt):
+        # the next state c + u∘(h − c) into nxt, which may be h: the
+        # forward's update and the backward's replay, so one rounding
+        np.subtract(h, cand, out=nxt)
+        nxt *= u
+        nxt += cand
 
-    def forward(s, e, xr_, *mine):
+    def own(rows):
+        # an x and a [feats_tᵀ; 1; r∘h] per thread, then, under no_grad, a
+        # block's [u; r] and c
+        return [_empty((w * rows,))
+                for w in (q + k, q + k, *(() if record else widths))]
+
+    def forward(s, e, x_, xr_, *mine):
         b = e - s
-        xh, ur, c = slabs(kept, s, e, n_steps) if record else slabs(
+        ur, c = slabs(kept, s, e, n_steps) if record else slabs(
             mine, 0, b, 1)
-        xr = _shaped(xr_, q + k, b)
-        xh[:, r] = xr[r] = 1.0
-        xh[0, q:] = h0.data[s:e].T
-        last = _shaped(mine[0], k, b) if record else xh[0, q:]
+        x, xr = _shaped(x_, q + k, b), _shaped(xr_, q + k, b)
+        x[r] = xr[r] = 1.0
+        h = x[q:]
+        h[...] = h0.data[s:e].T
         for t in range(n_steps):
             i = t if record else 0
-            x, z, cand = xh[i], ur[i], c[i]
-            h = x[q:]
+            z, cand = ur[i], c[i]
             x[:r] = feats_fm[t, :, s:e]
             np.matmul(w_ur.T, x, out=z)
             _sigmoid_values(z, out=z)
@@ -593,12 +613,8 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
             np.multiply(z[k:], h, out=xr[q:])
             np.matmul(w_xc.T, xr, out=cand)
             np.tanh(cand, out=cand)
-            # into the next step's kept state rows, or over h
-            nxt = xh[i + 1, q:] if i + 1 < len(xh) else last
-            np.subtract(h, cand, out=nxt)
-            nxt *= z[:k]
-            nxt += cand
-        out[s:e] = last.T
+            advance(h, z[:k], cand, h)
+        out[s:e] = h.T
 
     run_rows(m, forward, own)
 
@@ -606,45 +622,56 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         # a block's slots s_ur and s_c sum x·dzᵀ and [feats_tᵀ; 1; r∘h]·dcᵀ
         # over its steps: dV, then the bias gradients, then the state rows'
         # gradients
-        flat = (q + k,) + (k,) * 4 + (2 * k,) * 2
+        flat = (q + k,) + (k,) * 4 + (2 * k,)
 
-        def replay(s, e, s_ur, s_c, t_ur, t_c, *mine):
-            xh, ur, c = slabs(kept, s, e, n_steps)
-            xr, dh, gu, dc, drh, dz, dsig = (
-                _shaped(buf, w, e - s) for buf, w in zip(mine, flat))
-            xr[r] = 1.0
+        def replay(s, e, s_ur, s_c, t_ur, t_c, xh_, *mine):
+            b = e - s
+            ur, c = slabs(kept, s, e, n_steps)
+            xh = _shaped(xh_, n_steps, q + k, b)
+            xr, dh, gu, dc, drh, dz = (
+                _shaped(buf, w, b) for buf, w in zip(mine, flat))
+            # every step's x = [feats_tᵀ; 1; h_{t−1}], as the forward had it
+            xh[:, :r] = feats_fm[:, :, s:e]
+            xh[:, r] = xr[r] = 1.0
+            xh[0, q:] = h0.data[s:e].T
+            for t in range(n_steps - 1):
+                advance(xh[t, q:], ur[t, :k], c[t], xh[t + 1, q:])
             dh[...] = grad[s:e].T
             for t in reversed(range(n_steps)):
                 x, z, cand = xh[t], ur[t], c[t]
                 h, u, rg = x[q:], z[:k], z[k:]
                 np.multiply(dh, u, out=gu)
-                # the candidate's pre-activation: dh∘(1 − u)∘(1 − c²)
                 np.subtract(dh, gu, out=dc)
+                # the update pre-activation's gradient, through
+                # σ' = σ(1 − σ): (h − c)∘[dh∘(1 − u)]∘u, from dc before it
+                # takes the tanh factor
+                np.subtract(h, cand, out=dz[:k])
+                dz[:k] *= dc
+                dz[:k] *= u
+                # the candidate's: dh∘(1 − u)∘(1 − c²)
                 np.multiply(cand, cand, out=drh)
                 np.subtract(1.0, drh, out=drh)
                 dc *= drh
                 np.matmul(w_xc[q:], dc, out=drh)  # d(r∘h)
-                # the update and reset pre-activations, through
-                # σ' = σ(1 − σ)
-                np.subtract(h, cand, out=dz[:k])
-                dz[:k] *= dh
-                np.multiply(drh, h, out=dz[k:])
-                np.subtract(1.0, z, out=dsig)
-                dsig *= z
-                dz *= dsig
-                s_ur += np.matmul(x, dz.T, out=t_ur)
                 xr[:r] = x[:r]
                 np.multiply(rg, h, out=xr[q:])
+                # the reset's: d(r∘h)∘(r∘h)∘(1 − r)
+                np.subtract(1.0, rg, out=dz[k:])
+                dz[k:] *= xr[q:]
+                dz[k:] *= drh
+                s_ur += np.matmul(x, dz.T, out=t_ur)
                 s_c += np.matmul(xr, dc.T, out=t_c)
                 if t:
                     np.matmul(w_ur[q:], dz, out=dh)
-                    dh += gu
+                    np.subtract(gu, dh, out=dh)  # w_ur is negated
                     np.multiply(drh, rg, out=gu)
                     dh += gu
 
         def scratch(rows):
-            # a thread's t_ur and t_c, then its flat block scratch
+            # a thread's t_ur and t_c, then its flat block scratch: the
+            # replayed x of every step, then one step's
             return (np.empty((q + k, 2 * k)), np.empty((q + k, k)),
+                    _empty((n_steps * (q + k) * rows,)),
                     *(_empty((w * rows,)) for w in flat))
 
         g_ur, g_c = run_rows(m, replay, scratch,

@@ -901,9 +901,14 @@ def test_gru_step_records_nothing_under_no_grad():
     assert out._parents == ()
     assert np.max(np.abs(out.data - want)) <= 1e-12
     # nothing outlives the call but the (m, k) result, while a recording
-    # call keeps its (L, m, ·) blocks
+    # call keeps its L·m·3k gate floats, [u; r] and c, and not its states:
+    # beside them only its result, the features and the (q + k, 3k)
+    # weights folded with the lift, q = r + 1
     assert kept <= out.data.nbytes + 4096
-    assert kept_recorded - kept >= 6 * m * 4 * k * 8
+    n_steps, q, gates = 6, 3, 6 * m * 3 * k * 8
+    assert kept_recorded - kept >= gates
+    assert kept_recorded - kept < (gates + n_steps * m * 8 + out.data.nbytes
+                                   + feats.nbytes + (q + k) * 3 * k * 8)
     assert recorded._backward is not None
 
 
