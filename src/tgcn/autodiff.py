@@ -238,11 +238,19 @@ class Tensor:
 
     # -- backward pass -----------------------------------------------------
 
-    def backward(self):
-        """Populate ``grad`` on every reachable tensor with requires_grad."""
-        if self.data.ndim != 0:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {self.data.shape}")
+    def backward(self, seed=None):
+        """Populate ``grad`` on every reachable tensor with requires_grad,
+        starting from this tensor's own gradient: 1 for a scalar loss, or
+        ``seed``, an array of this tensor's shape, for any output, as
+        PyTorch's ``tensor.backward(gradient)`` does."""
+        if seed is None:
+            if self.data.ndim != 0:
+                raise ContractError("backward without a seed requires a "
+                                    f"scalar loss, got shape {self.shape}")
+            seed = np.ones(())
+        elif np.shape(seed) != self.shape:
+            raise ShapeError(f"backward: seed shape {np.shape(seed)} != "
+                             f"output shape {self.shape}")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -258,7 +266,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones(()))
+        self._accumulate(seed)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -5,6 +5,7 @@ perturbation experiments."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +54,29 @@ def read_csv_matrix(path):
     """Read a headerless CSV of finite floats into a 2-D array. Blank lines
     are skipped and cells follow numpy's number grammar; every failure is a
     ParseError naming the path and, for a bad cell, its file row and
-    column."""
+    column.
+
+    numpy parses the open UTF-8 text file directly. Only when that fails
+    (a bad cell or row, a line of nothing but whitespace, which numpy
+    refuses, a byte that is not UTF-8, an empty file, a file that does not
+    open) or gives a non-finite cell does `_read_located` read the file
+    again, to accept it as the byte path does or to say where it is
+    wrong."""
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # numpy warns of a file without rows, which the byte path refuses
+            warnings.simplefilter("error", UserWarning)
+            values = _parse(fh)
+    except (OSError, ValueError, UserWarning):  # UnicodeDecodeError included
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    return _read_located(path)
+
+
+def _read_located(path):
+    """`read_csv_matrix` from the file's bytes: decoded, its blank lines
+    dropped, and each failure located in file terms."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

@@ -133,6 +133,12 @@ class GcnEncoder:
         """(T, n) series -> (n, T, 1): prop·x_t of every timestep."""
         return _propagated(self.propagation, series)[..., None]
 
+    def tape_bytes(self, seq_len, horizon):
+        """Bytes a recording `encode` keeps per node-major row: the hidden
+        layer's bool mask and its and the propagation's (rows, horizon)
+        outputs."""
+        return self.w1.shape[0] + 16 * horizon
+
     def encode(self, windows, head):
         """prop·relu(Y·W0)·W1·head for FeatureWindows whose rows Y are each
         node's seq_len features."""
@@ -188,6 +194,11 @@ class TgcnCell:
         np.maximum(-y, 0.0, out=z[..., 1])
         f = ad.graph_propagate(prop, z.reshape(len(prop), -1)).data
         return f.reshape(z.shape)
+
+    def tape_bytes(self, seq_len, horizon):
+        """Bytes a recording `encode` keeps per node-major row: the
+        recurrence's gates [u; r] and candidates c of every step."""
+        return seq_len * 3 * self.hidden * 8
 
     def lift(self):
         """relu([w0; −w0])·w1, recorded so that w0 and w1 get gradients."""
@@ -304,6 +315,14 @@ class SequenceModel:
                 fan_in, fan_out = p.shape
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
                 p.data[:] = rng.uniform(-bound, bound, size=p.shape)
+
+    def tape_bytes(self):
+        """Bytes a recording forward keeps per window: n_nodes rows of the
+        encoder's `tape_bytes`; none for the historical average."""
+        if self.encoder is None:
+            return 0
+        return self.n_nodes * self.encoder.tape_bytes(self.seq_len,
+                                                      self.horizon)
 
     # -- forward -----------------------------------------------------------
 

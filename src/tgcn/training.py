@@ -19,6 +19,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator
 # node-major rows (windows x nodes) per evaluation chunk; at Los shape a
 # sweep of 2k-16k rows found 4k as fast as one call, at the lowest memory
 EVAL_ROWS = 4096
+# bytes of recording tape one group of a training batch's windows may keep
+# (`SequenceModel.tape_bytes`). At SZ shape, batch 32, 16, 32 and 64 MiB
+# (groups of 3, 7 and 11 windows) took a one-thread step's peak RSS from
+# 204 to 84, 116 and 152 MiB at the same speed; at two threads a step took
+# 417, 289 and 320 ms against 260 as one group, as a 3-window group's 468
+# rows fill one row block
+TAPE_BYTES = 32 << 20
 
 
 @dataclass
@@ -160,6 +167,15 @@ def restore(model, snapshot):
         p.data[:] = snapshot[name]
 
 
+def _groups(count, size):
+    """Slices of count windows into ⌈count / size⌉ groups in order, whose
+    lengths differ by at most one, the longer ones first."""
+    n = -(-count // size)
+    q, r = divmod(count, n)
+    bounds = [i * q + min(i, r) for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def train(model, train_windows, test_windows, dataset, config):
     """Minibatch Adam over shuffled sliding windows.
 
@@ -168,16 +184,26 @@ def train(model, train_windows, test_windows, dataset, config):
     A non-finite loss or gradient raises TrainingDiverged naming the epoch
     and the batch within it, both counted from 1.
 
-    Each step's forward, loss and backward draw their large arrays from a
-    `BufferPool` that keeps one batch size's buffers: a step of another size
-    (the short last batch) starts a new pool, and the pool is dropped
-    before each evaluation: a recording step's buffers are far larger than
-    what evaluation needs, one chunk's `no_grad` state, which `predict`
-    allocates without a pool.
+    Each step runs its batch as groups of whole windows, as many as keep a
+    recording forward's tape (`SequenceModel.tape_bytes`) within
+    TAPE_BYTES, at least one, the batch split into groups whose sizes
+    differ by at most one. Each group's forward and backward run before the
+    next group starts: its backward starts from the gradient the batch's
+    mean squared error gives its predictions, and the gradients add up in
+    the parameters. Then one `loss` call on the batch's predictions, a
+    constant there, gives the step's value and adds the L2 term's gradient,
+    and `clip_gradients` and Adam run once. So a step's memory does not
+    grow with the batch size, and a batch of one group runs the same
+    arithmetic as one forward and backward of the whole batch.
+
+    The groups draw their large arrays from one `BufferPool` per call,
+    which keeps each group shape's buffers; it is dropped before each
+    evaluation, which needs one chunk's `no_grad` state, far less than a
+    group's tape, and which, like `predict`, allocates without a pool.
 
     The features of the training windows (`SequenceModel.feature_windows`)
-    are computed once per call, and each step gathers its batch's rows from
-    them.
+    are computed once per call, and each group gathers its windows' rows
+    from them.
 
     The steps and the evaluations run their row blocks, those of the
     recurrence or of the GCN baseline's hidden layer, on TGCN_THREADS
@@ -192,6 +218,7 @@ def train(model, train_windows, test_windows, dataset, config):
             f"seq_len + horizon = {model.seq_len + model.horizon} "
             f"(seq_len={model.seq_len}, horizon={model.horizon})")
     stack = model.feature_windows(train_windows.inputs)
+    group = max(1, TAPE_BYTES // max(1, model.tape_bytes()))
     params = model.parameters()
     weights = model.weight_parameters()
     opt = Adam(params, lr=config.lr)
@@ -201,7 +228,7 @@ def train(model, train_windows, test_windows, dataset, config):
     best_rmse = np.inf
     best_params = _snapshot(params)
     best_epoch = 0
-    pool, pool_batch = None, 0
+    pool = None
 
     with ad.threads(_threads()):
         for epoch in range(1, config.epochs + 1):
@@ -211,24 +238,39 @@ def train(model, train_windows, test_windows, dataset, config):
             for start in range(0, n_windows, config.batch_size):
                 idx = order[start:start + config.batch_size]
                 # node-major, like the rows of the forward pass
-                batch_tg = train_windows.targets[idx].transpose(1, 0, 2)
-                batch_tg = batch_tg.reshape(-1, model.horizon)
+                batch_tg = np.ascontiguousarray(
+                    train_windows.targets[idx].transpose(1, 0, 2))
+                preds = np.empty_like(batch_tg)
                 where = f"epoch {epoch}, batch {n_batches + 1}"
-                if pool is None or len(idx) != pool_batch:
-                    pool, pool_batch = ad.BufferPool(), len(idx)
+                if pool is None:
+                    pool = ad.BufferPool()
                 opt.zero_grad()
                 with ad.reusing(pool):
-                    pred = model.forward(stack.take(idx))
-                    batch_loss = loss(pred, batch_tg, weights,
-                                      config.weight_decay)
-                    lval = float(batch_loss.data)
-                    if not np.isfinite(lval):
-                        raise TrainingDiverged(f"non-finite loss at {where}")
-                    batch_loss.backward()
-                # free this step's tape now, not when the next forward
-                # rebinds the names, so that two tapes are never alive at
-                # once and the next step finds the pool's buffers free
-                del pred, batch_loss
+                    for part in _groups(len(idx), group):
+                        pred = model.forward(stack.take(idx[part]))
+                        # d(mean squared error)/d(pred), in the order of
+                        # the backward of `loss`'s tensor_mean and square
+                        diff = pred.data - batch_tg[:, part].reshape(
+                            pred.shape)
+                        seed = (1.0 / batch_tg.size) * 2.0 * diff
+                        # a non-finite seed makes the loss non-finite,
+                        # which raises below
+                        if np.isfinite(seed).all():
+                            pred.backward(seed)
+                        preds[:, part] = pred.data.reshape(
+                            len(preds), -1, model.horizon)
+                        # free this group's tape now, not when the next
+                        # forward rebinds the name, so that two tapes are
+                        # never alive at once and the next group finds the
+                        # pool's buffers free
+                        del pred
+                batch_loss = loss(Tensor(preds.reshape(-1, model.horizon)),
+                                  batch_tg.reshape(-1, model.horizon),
+                                  weights, config.weight_decay)
+                lval = float(batch_loss.data)
+                if not np.isfinite(lval):
+                    raise TrainingDiverged(f"non-finite loss at {where}")
+                batch_loss.backward()  # the L2 term's gradient alone
                 clip_gradients(params, config.clip)
                 try:
                     opt.step()
@@ -241,8 +283,6 @@ def train(model, train_windows, test_windows, dataset, config):
             history.append(row)
 
             if epoch % config.eval_every == 0 or epoch == config.epochs:
-                # evaluation needs one chunk's buffers, not the step's
-                # larger ones
                 pool = None
                 report = evaluate(model, test_windows, dataset)
                 row.update((k, getattr(report, k)) for k in SCORES)

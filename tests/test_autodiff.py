@@ -88,6 +88,32 @@ def test_backward_requires_scalar():
         (x + x).backward()
 
 
+def test_backward_from_a_seed_matches_the_loss_it_stands_for():
+    # training seeds each window group's predictions with the gradient of
+    # the batch's mean squared error, in the order of that loss's backward
+    rng = np.random.default_rng(43)
+    x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
+    truth = rng.standard_normal((6, 2))
+    grads = []
+    for seeded in (False, True):
+        weight = Tensor(w, requires_grad=True)
+        pred = Tensor(x) @ weight
+        if seeded:
+            pred.backward((1.0 / truth.size) * 2.0 * (pred.data - truth))
+        else:
+            ad.tensor_mean(ad.square(pred - Tensor(truth))).backward()
+        grads.append(weight.grad)
+    assert grads[1].tobytes() == grads[0].tobytes()
+
+
+def test_backward_seed_must_match_the_output_shape():
+    x = Tensor(np.zeros((2, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"seed shape \(2,\) != output "
+                       r"shape \(2, 2\)"):
+        (x + x).backward(np.ones(2))
+    assert x.grad is None
+
+
 def test_gradient_accumulation_two_paths():
     x = Tensor(1.5, requires_grad=True)
     (x + x).backward()

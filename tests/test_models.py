@@ -388,6 +388,39 @@ def test_forward_tape_node_count(kind, nodes):
         assert tape_nodes(out) == nodes
 
 
+@pytest.mark.parametrize("kind", ["tgcn", "gru", "gcn"])
+def test_tape_bytes_match_what_a_recording_forward_keeps(monkeypatch, kind):
+    # training sizes its window groups by tape_bytes, so a kernel that keeps
+    # more per row than its encoder states must fail here. The per-row
+    # figure is the difference between two batch sizes: each thread's block
+    # scratch, drawn for the tallest block, cancels
+    monkeypatch.setattr(ad, "ROW_BLOCK", 16)
+    rng = np.random.default_rng(27)
+    n, seq_len = 6, 12
+    model = SequenceModel(kind, n, 32, seq_len, 3,
+                          propagation=random_graph(rng, n))
+    model.init_parameters(0)
+    windows = model.feature_windows(rng.random((12, seq_len, n)))
+
+    def drawn(count):
+        sizes = {}  # the pool keeps every array, so no id is reused
+
+        class CountingPool(ad.BufferPool):
+            def empty(self, shape, dtype=np.float64):
+                buf = super().empty(shape, dtype)
+                sizes[id(buf)] = buf.nbytes
+                return buf
+
+        with ad.reusing(CountingPool()):
+            out = model.forward(windows.take(np.arange(count)))
+        assert out._backward is not None
+        return sum(sizes.values())
+
+    per_row = (drawn(12) - drawn(4)) / (n * 8)
+    stated = model.tape_bytes() / n
+    assert abs(per_row - stated) <= 0.1 * stated, (per_row, stated)
+
+
 def tgcn_input_transform(cell, x_t):
     """T-GCN's graph convolution of the node-major (m, 1) input x_t,
     P·relu(P·x_t·w0)·w1, composed from primitives."""

@@ -353,13 +353,16 @@ def test_nonfinite_gradient_names_epoch_and_batch(monkeypatch):
         train(model, train_ws, test_ws, ds, config)
 
 
-def _threaded_run(monkeypatch, tmp_path, threads, kind):
+def _threaded_run(monkeypatch, tmp_path, threads, kind, group=None):
     """History, final checkpoint bytes and best parameters of a training run
-    of the kind at TGCN_THREADS=threads, and the threads that ran the row
+    of the kind at TGCN_THREADS=threads, each step in groups of at most
+    `group` windows (None: one group), and the threads that ran the row
     blocks of its training steps' forwards."""
     prop, ds, train_ws, test_ws = ring_setup()
     model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
     model.init_parameters(6)
+    if group is not None:
+        monkeypatch.setattr(training, "TAPE_BYTES", group * model.tape_bytes())
     config = TrainConfig(lr=0.01, batch_size=16, epochs=10, seed=6,
                          eval_every=1)
     monkeypatch.setenv("TGCN_THREADS", str(threads))
@@ -398,6 +401,116 @@ def test_threaded_training_matches_serial(monkeypatch, tmp_path):
                 assert threading.get_ident() in seen and len(seen) > 1, kind
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_grouped_training_matches_serial_and_rerun(monkeypatch, tmp_path):
+    # batches of 16 in groups of at most 5 windows (4 of 4 each), whose
+    # rows split into several row blocks, on 1, 2 and 4 threads
+    monkeypatch.setattr(training, "EVAL_ROWS", CHUNK_ROWS)
+    monkeypatch.setattr(ad, "ROW_BLOCK", RING_BLOCK)
+    interval = sys.getswitchinterval()
+    for kind in THREADED_KINDS:
+        serial, _ = _threaded_run(monkeypatch, tmp_path, 1, kind, group=5)
+        rerun, _ = _threaded_run(monkeypatch, tmp_path, 1, kind, group=5)
+        assert rerun == serial, kind
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 4):
+                run, seen = _threaded_run(monkeypatch, tmp_path, threads,
+                                          kind, group=5)
+                assert run == serial, (kind, threads)
+                assert len(seen) > 1, kind
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gru", "gcn"])
+def test_grouped_steps_match_one_group(monkeypatch, kind):
+    # 45 windows at batch 16: each epoch runs two full steps and a short
+    # one, as one group each or in groups of at most 3 windows (6, 6 and 5
+    # groups). Either way train calls loss and clip_gradients once per step
+    prop, ds, train_ws, test_ws = ring_setup()
+    train_ws = data.WindowSet(train_ws.inputs[:45], train_ws.targets[:45])
+
+    def run(group):
+        model = SequenceModel(kind, 10, 6, 4, 1, propagation=prop)
+        model.init_parameters(10)
+        monkeypatch.setattr(training, "TAPE_BYTES",
+                            group * model.tape_bytes() if group else 1 << 40)
+        forward, forwards, losses, grads = model.forward, [], [], []
+
+        def counted_forward(windows):
+            forwards.append(ad.is_grad_enabled())
+            return forward(windows)
+
+        def loss_probe(*args):
+            out = loss(*args)
+            losses.append(float(out.data))
+            return out
+
+        def clip_probe(params, max_norm):
+            grads.append([p.grad.copy() for p in params.values()])
+            clip_gradients(params, max_norm)
+
+        model.forward = counted_forward
+        monkeypatch.setattr(training, "loss", loss_probe)
+        monkeypatch.setattr(training, "clip_gradients", clip_probe)
+        config = TrainConfig(lr=0.01, batch_size=16, epochs=2, seed=10,
+                             weight_decay=1e-3, eval_every=2)
+        history = train(model, train_ws, test_ws, ds, config).history
+        return sum(forwards), losses, grads, history
+
+    one, grouped = run(None), run(3)
+    assert one[0] == 6 and grouped[0] == 2 * (6 + 6 + 5)
+    assert len(one[1]) == len(grouped[1]) == len(grouped[2]) == 6
+    for a, b in zip(one[1], grouped[1]):
+        assert abs(a - b) <= 1e-12 * abs(a)
+    for step_a, step_b in zip(one[2], grouped[2]):
+        for a, b in zip(step_a, step_b):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+    _close_histories(one[3], grouped[3])
+
+
+def test_training_step_memory_does_not_grow_with_the_batch(monkeypatch):
+    # groups of 2 windows: from batch 8 to batch 64 a step's traced peak
+    # grows by the batch's predictions, targets and loss terms, by less
+    # than one group's tape; one forward of the whole batch would keep 64
+    # windows' tape
+    prop, ds, train_ws, test_ws = ring_setup(timesteps=200)
+    test_ws = data.WindowSet(test_ws.inputs[:2], test_ws.targets[:2])
+    model = SequenceModel("tgcn", 10, 32, 4, 1, propagation=prop)
+    group_tape = 2 * model.tape_bytes()
+    monkeypatch.setattr(training, "TAPE_BYTES", group_tape)
+    zero_grad, peaks, held = training.Adam.zero_grad, [], [0]
+
+    def step_start(opt):
+        tracemalloc.reset_peak()
+        held[0] = tracemalloc.get_traced_memory()[0]
+        zero_grad(opt)
+
+    def step_end(params, max_norm):
+        step = tracemalloc.get_traced_memory()[1] - held[0]
+        peaks[-1] = max(peaks[-1], step)
+        clip_gradients(params, max_norm)
+
+    monkeypatch.setattr(training.Adam, "zero_grad", step_start)
+    monkeypatch.setattr(training, "clip_gradients", step_end)
+
+    def peak(batch):
+        model.init_parameters(13)
+        peaks.append(0)
+        windows = data.WindowSet(train_ws.inputs[:2 * batch],
+                                 train_ws.targets[:2 * batch])
+        tracemalloc.start()
+        try:
+            train(model, windows, test_ws, ds,
+                  TrainConfig(batch_size=batch, epochs=1, seed=13))
+        finally:
+            tracemalloc.stop()
+        return peaks[-1]
+
+    small, large = peak(8), peak(64)
+    assert large - small < group_tape, (small, large, group_tape)
 
 
 def test_no_worker_outlives_its_binding(monkeypatch):
@@ -678,17 +791,17 @@ def test_write_history(tmp_path):
 
 # -- step buffer pool ---------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
-@pytest.mark.parametrize("batch,n_pools", [(15, 2), (16, 6)])
-def test_train_pool_stops_growing_after_first_step(monkeypatch, kind, batch,
-                                                   n_pools):
-    # 45 training windows: batch 15 runs 3 steps an epoch, and its pool
-    # lives until the evaluation after epoch 2; batch 16 runs 2 full steps
-    # and a short one, which starts a pool of its own
+def _pool_sizes(monkeypatch, kind, batch, group=None):
+    """Train 3 epochs on 45 windows, evaluating after epochs 2 and 3, each
+    step in groups of at most `group` windows (None: one group); returns
+    (the number of pools started, the step sizes, and per step the pool it
+    drew from, counted from 1, and that pool's kept arrays)."""
     prop, ds, train_ws, test_ws = ring_setup()
     train_ws = data.WindowSet(train_ws.inputs[:45], train_ws.targets[:45])
     model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
     model.init_parameters(8)
+    if group is not None:
+        monkeypatch.setattr(training, "TAPE_BYTES", group * model.tape_bytes())
     pools, sizes, in_eval, drawn_in_eval = [], [], [], []
 
     class WatchedPool(ad.BufferPool):
@@ -717,12 +830,39 @@ def test_train_pool_stops_growing_after_first_step(monkeypatch, kind, batch,
     config = TrainConfig(lr=0.01, batch_size=batch, epochs=3, seed=8,
                          eval_every=2)
     train(model, train_ws, test_ws, ds, config)
-    assert len(sizes) == 9 and len(pools) == n_pools
     assert drawn_in_eval == []
+    return len(pools), sizes
+
+
+def _assert_settled(sizes, n_pools, settled):
+    # each pool's kept arrays stop growing from its step `settled` (counted
+    # from 0) on, once every step shape has drawn from it
     for i in range(1, n_pools + 1):
         counts = [count for pool, count in sizes if pool == i]
         assert counts and counts[0] > 0
-        assert counts == counts[:1] * len(counts)
+        assert counts[settled:] == counts[-1:] * len(counts[settled:])
+
+
+@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
+@pytest.mark.parametrize("batch,n_pools", [(15, 2), (16, 2)])
+def test_train_pool_stops_growing_after_first_step(monkeypatch, kind, batch,
+                                                   n_pools):
+    # one pool per call until the evaluation after epoch 2, then another.
+    # Batch 15 runs 3 steps an epoch; batch 16 runs 2 full steps and a
+    # short one, whose buffers the same pool keeps beside the full steps'
+    pools, sizes = _pool_sizes(monkeypatch, kind, batch)
+    assert len(sizes) == 9 and pools == n_pools
+    _assert_settled(sizes, n_pools, 0 if batch == 15 else 2)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
+def test_train_pool_serves_every_window_group(monkeypatch, kind):
+    # groups of at most 5 windows: a batch of 16 runs as 4, 4, 4, 4 and the
+    # short batch of 13 as 5, 4, 4, so the pool keeps the shapes of 4 and 5
+    # windows from the third step on
+    pools, sizes = _pool_sizes(monkeypatch, kind, 16, group=5)
+    assert len(sizes) == 9 and pools == 2
+    _assert_settled(sizes, 2, 2)
 
 
 @pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
