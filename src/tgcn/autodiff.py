@@ -13,11 +13,6 @@ receives one may be an array: ``graph_propagate``'s ``prop`` and ``x``,
 ``relu_mlp``'s ``x`` and ``gru_unroll``'s ``feats`` and ``h0``. Any other
 constant operand is a Tensor without grad; ``scale`` takes a python number.
 
-While a ``BufferPool`` is bound on a thread (``reusing``), the primitives
-with large results (``graph_propagate``, ``relu_mlp`` and ``gru_unroll``)
-draw their outputs, backward results and scratch from it instead of
-allocating them, so a training loop's steps share memory.
-
 While worker threads are bound on a thread (``threads``), ``gru_unroll``
 and ``relu_mlp`` run their row blocks, forward and backward, on them and on
 the calling thread, each thread taking the next block when it finishes one
@@ -30,7 +25,6 @@ depend on the number of threads.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
@@ -48,10 +42,9 @@ ROW_BLOCK = 512
 
 class _ThreadState(threading.local):
     # per thread, so that no_grad on one thread cannot switch recording off
-    # (or leave it off) for another, and a pool or workers bound by one
-    # thread serve no other thread
+    # (or leave it off) for another, and workers bound by one thread serve
+    # no other thread
     enabled = True
-    pool = None
     threads = 1  # the row blocks' threads, this one included
     executor = None  # the threads - 1 workers
 
@@ -82,49 +75,11 @@ def no_grad():
     return _bound(enabled=False)
 
 
-def _refcounts(bufs):
-    return [sys.getrefcount(buf) for buf in bufs]
-
-
-# the count _refcounts reports for an array that only its list holds
-_UNHELD = _refcounts([np.empty(0)])[0]
-
-
-class BufferPool:
-    """Arrays reused by shape and dtype across training steps.
-
-    ``empty`` hands out a kept array again only when nothing but the pool
-    holds it: a live tape node, gradient or view (which holds its base)
-    keeps the array out of reach, so no caller has to say when a buffer is
-    free. A handed-out array holds whatever was last written to it.
-    """
-
-    def __init__(self):
-        self._kept = {}  # (shape, dtype) -> arrays
-
-    def empty(self, shape, dtype=np.float64):
-        key = (tuple(shape), np.dtype(dtype))
-        bufs = self._kept.setdefault(key, [])
-        for buf, refs in zip(bufs, _refcounts(bufs)):
-            if refs == _UNHELD:
-                return buf
-        bufs.append(np.empty(*key))
-        return bufs[-1]
-
-    def __len__(self):
-        """The number of arrays kept, held or not."""
-        return sum(map(len, self._kept.values()))
-
-
-def reusing(pool):
-    """Draw the large arrays of the primitives called on this thread inside
-    the block from ``pool`` (a training step)."""
-    return _bound(pool=pool)
-
-
 def _empty(shape, dtype=np.float64):
-    pool = _local.pool
-    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
+    # the one place the kernels (graph_propagate, relu_mlp, gru_unroll)
+    # allocate their outputs, backward results and scratch, so a test can
+    # swap in an allocator that poisons every buffer it hands out
+    return np.empty(shape, dtype)
 
 
 @contextmanager

@@ -149,11 +149,10 @@ def write_metrics_json(path, report, args, perturbation=None):
     if perturbation is not None:
         payload["perturbation"] = perturbation
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(payload, indent=2)
     if path:
-        Path(path).write_text(text + "\n")
-    else:
-        print(text)
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    else:  # one object per line, so a sweep's stdout is JSON Lines
+        print(json.dumps(payload))
 
 
 @contextmanager

@@ -22,9 +22,9 @@ EVAL_ROWS = 4096
 # bytes of recording tape one group of a training batch's windows may keep
 # (`SequenceModel.tape_bytes`). At SZ shape, batch 32, 16, 32 and 64 MiB
 # (groups of 3, 7 and 11 windows) took a one-thread step's peak RSS from
-# 204 to 84, 116 and 152 MiB at the same speed; at two threads a step took
-# 417, 289 and 320 ms against 260 as one group, as a 3-window group's 468
-# rows fill one row block
+# 204 to 69, 90 and 107 MiB at about the same speed; at two threads a step
+# took 553, 333 and 310 ms against 324 as one group, as a 3-window group's
+# 468 rows fill one row block
 TAPE_BYTES = 32 << 20
 
 
@@ -187,19 +187,15 @@ def train(model, train_windows, test_windows, dataset, config):
     Each step runs its batch as groups of whole windows, as many as keep a
     recording forward's tape (`SequenceModel.tape_bytes`) within
     TAPE_BYTES, at least one, the batch split into groups whose sizes
-    differ by at most one. Each group's forward and backward run before the
-    next group starts: its backward starts from the gradient the batch's
-    mean squared error gives its predictions, and the gradients add up in
-    the parameters. Then one `loss` call on the batch's predictions, a
-    constant there, gives the step's value and adds the L2 term's gradient,
-    and `clip_gradients` and Adam run once. So a step's memory does not
-    grow with the batch size, and a batch of one group runs the same
-    arithmetic as one forward and backward of the whole batch.
-
-    The groups draw their large arrays from one `BufferPool` per call,
-    which keeps each group shape's buffers; it is dropped before each
-    evaluation, which needs one chunk's `no_grad` state, far less than a
-    group's tape, and which, like `predict`, allocates without a pool.
+    differ by at most one. Each group's forward and backward run, and its
+    tape is freed, before the next group starts: its backward starts from
+    the gradient the batch's mean squared error gives its predictions, and
+    the gradients add up in the parameters. Then one `loss` call on the
+    batch's predictions, a constant there, gives the step's value and adds
+    the L2 term's gradient, and `clip_gradients` and Adam run once. So a
+    step holds one group's tape at a time, its memory does not grow with
+    the batch size, and a batch of one group runs the same arithmetic as
+    one forward and backward of the whole batch.
 
     The features of the training windows (`SequenceModel.feature_windows`)
     are computed once per call, and each group gathers its windows' rows
@@ -228,7 +224,6 @@ def train(model, train_windows, test_windows, dataset, config):
     best_rmse = np.inf
     best_params = _snapshot(params)
     best_epoch = 0
-    pool = None
 
     with ad.threads(_threads()):
         for epoch in range(1, config.epochs + 1):
@@ -242,28 +237,23 @@ def train(model, train_windows, test_windows, dataset, config):
                     train_windows.targets[idx].transpose(1, 0, 2))
                 preds = np.empty_like(batch_tg)
                 where = f"epoch {epoch}, batch {n_batches + 1}"
-                if pool is None:
-                    pool = ad.BufferPool()
                 opt.zero_grad()
-                with ad.reusing(pool):
-                    for part in _groups(len(idx), group):
-                        pred = model.forward(stack.take(idx[part]))
-                        # d(mean squared error)/d(pred), in the order of
-                        # the backward of `loss`'s tensor_mean and square
-                        diff = pred.data - batch_tg[:, part].reshape(
-                            pred.shape)
-                        seed = (1.0 / batch_tg.size) * 2.0 * diff
-                        # a non-finite seed makes the loss non-finite,
-                        # which raises below
-                        if np.isfinite(seed).all():
-                            pred.backward(seed)
-                        preds[:, part] = pred.data.reshape(
-                            len(preds), -1, model.horizon)
-                        # free this group's tape now, not when the next
-                        # forward rebinds the name, so that two tapes are
-                        # never alive at once and the next group finds the
-                        # pool's buffers free
-                        del pred
+                for part in _groups(len(idx), group):
+                    pred = model.forward(stack.take(idx[part]))
+                    # d(mean squared error)/d(pred), in the order of the
+                    # backward of `loss`'s tensor_mean and square
+                    diff = pred.data - batch_tg[:, part].reshape(pred.shape)
+                    seed = (1.0 / batch_tg.size) * 2.0 * diff
+                    # a non-finite seed makes the loss non-finite, which
+                    # raises below
+                    if np.isfinite(seed).all():
+                        pred.backward(seed)
+                    preds[:, part] = pred.data.reshape(
+                        len(preds), -1, model.horizon)
+                    # free this group's tape now, not when the next forward
+                    # rebinds the name, so that two groups' tapes are never
+                    # alive at once
+                    del pred
                 batch_loss = loss(Tensor(preds.reshape(-1, model.horizon)),
                                   batch_tg.reshape(-1, model.horizon),
                                   weights, config.weight_decay)
@@ -283,7 +273,6 @@ def train(model, train_windows, test_windows, dataset, config):
             history.append(row)
 
             if epoch % config.eval_every == 0 or epoch == config.epochs:
-                pool = None
                 report = evaluate(model, test_windows, dataset)
                 row.update((k, getattr(report, k)) for k in SCORES)
                 if report.rmse < best_rmse:

@@ -26,18 +26,26 @@ def ring_series(n=10, timesteps=240, noise=0.02, seed=123):
     return np.array(out)
 
 
-class PoisonPool(ad.BufferPool):
-    """Never reuses: every array is new and starts as NaN (True if bool),
-    so a pooled buffer read before it is written shows in the results."""
+class PoisonedEmpty:
+    """Inside the block, every array a kernel allocates (``autodiff._empty``)
+    starts as NaN (True if bool), so a buffer read before it is written
+    shows in the results. ``drawn`` lists each draw's (dtype, bytes)."""
 
     def __init__(self):
-        super().__init__()
-        self.drawn = 0
+        self.drawn = []
 
     def empty(self, shape, dtype=np.float64):
-        self.drawn += 1
-        return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 1,
-                       dtype)
+        buf = np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 1,
+                      dtype)
+        self.drawn.append((buf.dtype, buf.nbytes))
+        return buf
+
+    def __enter__(self):
+        self._plain, ad._empty = ad._empty, self.empty
+        return self
+
+    def __exit__(self, *exc):
+        ad._empty = self._plain
 
 
 def probe_row_blocks(monkeypatch, action):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PoisonPool, probe_row_blocks
+from conftest import PoisonedEmpty, probe_row_blocks
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import ContractError, ShapeError
@@ -465,12 +465,12 @@ def test_gru_unroll_property(data):
     def run(forward_count, backward_count):
         for x in xs:
             x.zero_grad()
-        with (ad.threads(forward_count), ad.reusing(PoisonPool()),
+        with (ad.threads(forward_count), PoisonedEmpty(),
               nullcontext() if record else ad.no_grad()):
             out = ad.gru_unroll(feats, *xs)
         if not record:
             return [out.data]
-        with ad.threads(backward_count), ad.reusing(PoisonPool()):
+        with ad.threads(backward_count), PoisonedEmpty():
             ad.tensor_sum(ad.hadamard(out, weight)).backward()
         return [out.data] + [x.grad for x in xs if x.requires_grad]
 
@@ -532,12 +532,12 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
     for want, got in zip(serial, run(rows)):
         assert got.tobytes() == want.tobytes()
     seen = _threads_seen(monkeypatch, 0.002)
-    pool = PoisonPool()  # a buffer read before it is written shows as NaN
-    with ad.threads(count), ad.reusing(pool):
+    # a buffer read before it is written shows as NaN
+    with ad.threads(count), PoisonedEmpty() as poison:
         threaded = run()
         threaded_rows = run(rows)
     assert 1 < len(seen) <= count
-    assert pool.drawn > 0
+    assert poison.drawn
     assert len(threaded) == len(threaded_rows) == (8 if record else 1)
     for want, got, got_rows in zip(serial, threaded, threaded_rows):
         assert got.tobytes() == want.tobytes()
@@ -1006,7 +1006,7 @@ def test_relu_mlp_matches_composition(monkeypatch, o, block, m):
         threading.get_ident()) or time.sleep(0.002))
     for count in (1, 2, 3):
         seen.clear()
-        with ad.threads(count), ad.reusing(PoisonPool()):
+        with ad.threads(count), PoisonedEmpty():
             got = _relu_mlp_and_grads(ad.relu_mlp, x, w0, w1, weight)
             with ad.no_grad():
                 free = ad.relu_mlp(x, w0, w1)
@@ -1041,9 +1041,9 @@ def test_relu_mlp_property(data):
     def run(forward_count, backward_count):
         w0.zero_grad()
         w1.zero_grad()
-        with ad.threads(forward_count), ad.reusing(PoisonPool()):
+        with ad.threads(forward_count), PoisonedEmpty():
             out = ad.relu_mlp(x, w0, w1)
-        with ad.threads(backward_count), ad.reusing(PoisonPool()):
+        with ad.threads(backward_count), PoisonedEmpty():
             ad.tensor_sum(ad.hadamard(out, weight)).backward()
         return out.data, w0.grad, w1.grad
 
@@ -1093,10 +1093,10 @@ def test_relu_mlp_gradcheck_across_row_blocks(monkeypatch):
     assert report.passed, report.per_input
 
 
-def test_relu_mlp_keeps_each_calls_mask_under_pool_reuse(monkeypatch):
-    # two recording calls in one binding, both backwards after both
-    # forwards: each tape node holds its own ReLU mask, so the pool must not
-    # hand the first call's mask to the second
+def test_relu_mlp_keeps_each_calls_mask(monkeypatch):
+    # two recording calls, both backwards after both forwards: each tape
+    # node holds its own ReLU mask, drawn afresh (and poisoned) per call;
+    # a call under no_grad draws none
     monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
     rng = np.random.default_rng(43)
     m = 2 * BLOCK + 3
@@ -1104,29 +1104,20 @@ def test_relu_mlp_keeps_each_calls_mask_under_pool_reuse(monkeypatch):
     weights = [Tensor(rng.standard_normal((m, 2))) for _ in calls]
     want = [_relu_mlp_and_grads(composed_relu_mlp, *args, weight)
             for args, weight in zip(calls, weights)]
-    drawn = []
-
-    class WatchedPool(ad.BufferPool):
-        def empty(self, shape, dtype=np.float64):
-            drawn.append(np.dtype(dtype))
-            return super().empty(shape, dtype)
-
-    pool = WatchedPool()
     for _, w0, w1 in calls:
         w0.zero_grad()
         w1.zero_grad()
-    with ad.reusing(pool):
+    with PoisonedEmpty() as poison:
         outs = [ad.relu_mlp(*args) for args in calls]
-        assert drawn.count(np.dtype(bool)) == 2
+        assert [dtype for dtype, _ in poison.drawn].count(bool) == 2
         for out, weight in zip(outs, weights):
             ad.tensor_sum(ad.hadamard(out, weight)).backward()
     for (_, w0, w1), out, expected in zip(calls, outs, want):
         for got, ref in zip((out.data, w0.grad, w1.grad), expected):
             assert np.max(np.abs(got - ref)) <= 1e-12
-    drawn.clear()
-    with ad.no_grad(), ad.reusing(pool):
+    with ad.no_grad(), PoisonedEmpty() as poison:
         ad.relu_mlp(*calls[0])
-    assert drawn and np.dtype(bool) not in drawn
+    assert poison.drawn and bool not in [dtype for dtype, _ in poison.drawn]
 
 
 def _relu_mlp_backward(x, w0, w1, grad, count):
@@ -1196,74 +1187,3 @@ def test_relu_mlp_shape_error_names_shapes():
         ad.relu_mlp(x, w0, Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match=r"relu_mlp: .*x \(4,\)"):
         ad.relu_mlp(x[:, 0], w0, w1)
-
-
-# -- buffer pool ---------------------------------------------------------------
-
-def test_buffer_pool_never_hands_out_a_held_array_or_view():
-    pool = ad.BufferPool()
-    a = pool.empty((3, 4))
-    b = pool.empty((3, 4))
-    assert not np.shares_memory(a, b) and len(pool) == 2
-    view = a[1:, ::2]
-    del a
-    c = pool.empty((3, 4))  # the view still holds a's memory
-    assert not np.shares_memory(c, view) and not np.shares_memory(c, b)
-    assert len(pool) == 3
-    del view, c
-    d = pool.empty((3, 4))  # a and c are free again: one is reused
-    assert len(pool) == 3 and not np.shares_memory(d, b)
-
-
-def test_buffer_pool_keys_by_shape_and_dtype():
-    pool = ad.BufferPool()
-    first = pool.empty((3, 4))
-    first_id = id(first)
-    del first
-    others = [pool.empty((4, 3)), pool.empty((12,)),
-              pool.empty((3, 4), bool)]
-    assert len(pool) == 4
-    assert others[2].dtype == bool and others[1].shape == (12,)
-    assert id(pool.empty([3, 4], "f8")) == first_id
-    assert len(pool) == 4
-
-
-def _primitive_chain(feats, xs, head, prop, w1):
-    """gru_unroll, matmul, graph_propagate, relu and relu_mlp, forward and
-    backward; returns the outputs and the inputs' gradients."""
-    for x in xs + [head, w1]:
-        x.zero_grad()
-    h = ad.gru_unroll(feats, *xs)
-    y = ad.relu(ad.graph_propagate(prop, h @ head))
-    z = ad.relu_mlp(h.data, head, w1)
-    ad.tensor_sum(ad.square(y) + ad.square(z)).backward()
-    return [h.data, y.data, z.data] + [x.grad for x in xs + [head, w1]]
-
-
-def test_primitives_draw_from_the_bound_pool_only(monkeypatch):
-    monkeypatch.setattr(ad, "ROW_BLOCK", BLOCK)
-    rng = np.random.default_rng(32)
-    n = 3
-    feats, xs = unroll_inputs(rng, 3, 3 * n, 2, 3, 2)  # 3 row blocks
-    head = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    prop = rng.standard_normal((n, n))
-    w1 = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    args = (feats, xs, head, prop, w1)
-    pool = PoisonPool()
-    free = _primitive_chain(*args)  # no pool bound
-    assert pool.drawn == 0
-    with ad.reusing(pool):
-        # another thread allocates as if no pool were bound
-        other = []
-        thread = threading.Thread(
-            target=lambda: other.append(_primitive_chain(*args)))
-        thread.start()
-        thread.join(timeout=10)
-        assert pool.drawn == 0
-        pooled = _primitive_chain(*args)
-    assert pool.drawn > 0
-    for want, a, b in zip(free, pooled, other[0]):
-        assert np.array_equal(a, want) and np.array_equal(b, want)
-    before = pool.drawn
-    _primitive_chain(*args)  # the binding ended with the block
-    assert pool.drawn == before

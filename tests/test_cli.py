@@ -261,6 +261,26 @@ def test_perturb_sweep_without_metrics_out_prints_each_setting(
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_perturb_sweep_stdout_is_json_lines(tmp_path, ring_files, capsys):
+    # one compact object per line on stdout; a --metrics-out file stays
+    # one indented object
+    adj, feat = ring_files
+    common = ["perturb", "--adj", adj, "--features", feat, "--model", "gcn",
+              "--hidden", "4", "--seq-len", "4", "--epochs", "1",
+              "--batch", "64", "--eval-every", "1", "--seed", "7",
+              "--dist", "gaussian"]
+    assert run(common + ["--sweep",
+                         "--sweep-out", str(tmp_path / "sweep.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cli.GAUSSIAN_SWEEP)
+    assert [json.loads(line)["perturbation"]["param"] for line in lines] == (
+        list(cli.GAUSSIAN_SWEEP))
+    out = tmp_path / "m.json"
+    assert run(common + ["--param", "0.2", "--metrics-out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("{\n  ") and json.loads(text)["rmse"] > 0
+
+
 @pytest.mark.parametrize("given,missing", [
     (["--param", "0.2"], "--dist"), (["--sweep"], "--dist"),
     (["--dist", "gaussian"], "--param (or --sweep)"),

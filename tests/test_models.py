@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PoisonedEmpty
 from tgcn import autodiff as ad
 from tgcn.autodiff import Tensor, gradcheck
 from tgcn.errors import CheckpointError, ConfigError, ContractError, ShapeError
@@ -403,18 +404,10 @@ def test_tape_bytes_match_what_a_recording_forward_keeps(monkeypatch, kind):
     windows = model.feature_windows(rng.random((12, seq_len, n)))
 
     def drawn(count):
-        sizes = {}  # the pool keeps every array, so no id is reused
-
-        class CountingPool(ad.BufferPool):
-            def empty(self, shape, dtype=np.float64):
-                buf = super().empty(shape, dtype)
-                sizes[id(buf)] = buf.nbytes
-                return buf
-
-        with ad.reusing(CountingPool()):
+        with PoisonedEmpty() as poison:
             out = model.forward(windows.take(np.arange(count)))
         assert out._backward is not None
-        return sum(sizes.values())
+        return sum(nbytes for _, nbytes in poison.drawn)
 
     per_row = (drawn(12) - drawn(4)) / (n * 8)
     stated = model.tape_bytes() / n

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (PoisonPool, probe_row_blocks, ring_adjacency,
+from conftest import (PoisonedEmpty, probe_row_blocks, ring_adjacency,
                       ring_series)
 from tgcn import autodiff as ad
 from tgcn import data, models, training
@@ -471,6 +471,31 @@ def test_grouped_steps_match_one_group(monkeypatch, kind):
     _close_histories(one[3], grouped[3])
 
 
+def _traced_step_peaks(model, windows, test_ws, ds, config):
+    """Train under tracemalloc; returns each step's traced peak, from its
+    zero_grad to its clip, above what was held when the step started."""
+    zero_grad, peaks, held = training.Adam.zero_grad, [], [0]
+
+    def step_start(opt):
+        tracemalloc.reset_peak()
+        held[0] = tracemalloc.get_traced_memory()[0]
+        zero_grad(opt)
+
+    def step_end(params, max_norm):
+        peaks.append(tracemalloc.get_traced_memory()[1] - held[0])
+        clip_gradients(params, max_norm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training.Adam, "zero_grad", step_start)
+        patch.setattr(training, "clip_gradients", step_end)
+        tracemalloc.start()
+        try:
+            train(model, windows, test_ws, ds, config)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_training_step_memory_does_not_grow_with_the_batch(monkeypatch):
     # groups of 2 windows: from batch 8 to batch 64 a step's traced peak
     # grows by the batch's predictions, targets and loss terms, by less
@@ -481,36 +506,46 @@ def test_training_step_memory_does_not_grow_with_the_batch(monkeypatch):
     model = SequenceModel("tgcn", 10, 32, 4, 1, propagation=prop)
     group_tape = 2 * model.tape_bytes()
     monkeypatch.setattr(training, "TAPE_BYTES", group_tape)
-    zero_grad, peaks, held = training.Adam.zero_grad, [], [0]
-
-    def step_start(opt):
-        tracemalloc.reset_peak()
-        held[0] = tracemalloc.get_traced_memory()[0]
-        zero_grad(opt)
-
-    def step_end(params, max_norm):
-        step = tracemalloc.get_traced_memory()[1] - held[0]
-        peaks[-1] = max(peaks[-1], step)
-        clip_gradients(params, max_norm)
-
-    monkeypatch.setattr(training.Adam, "zero_grad", step_start)
-    monkeypatch.setattr(training, "clip_gradients", step_end)
 
     def peak(batch):
         model.init_parameters(13)
-        peaks.append(0)
         windows = data.WindowSet(train_ws.inputs[:2 * batch],
                                  train_ws.targets[:2 * batch])
-        tracemalloc.start()
-        try:
-            train(model, windows, test_ws, ds,
-                  TrainConfig(batch_size=batch, epochs=1, seed=13))
-        finally:
-            tracemalloc.stop()
-        return peaks[-1]
+        return max(_traced_step_peaks(
+            model, windows, test_ws, ds,
+            TrainConfig(batch_size=batch, epochs=1, seed=13)))
 
     small, large = peak(8), peak(64)
     assert large - small < group_tape, (small, large, group_tape)
+
+
+@pytest.mark.parametrize("kind", ["tgcn", "gru"])
+def test_training_step_holds_one_group_at_a_time(monkeypatch, kind):
+    # groups of at most 3 windows: a batch of 8 runs as 3, 3 and 2, and
+    # peaks within one window's tape of a batch of 3, one group alone, as
+    # each group's tape and buffers are freed before the next group starts.
+    # Keeping the 3-window group's buffers while the 2-window group runs
+    # would add two windows' tape. Later steps peak no higher than the first
+    prop, ds, train_ws, test_ws = ring_setup(seq_len=12, timesteps=200)
+    test_ws = data.WindowSet(test_ws.inputs[:2], test_ws.targets[:2])
+    model = SequenceModel(kind, 10, 32, 12, 1, propagation=prop)
+    window_tape = model.tape_bytes()
+    monkeypatch.setattr(training, "TAPE_BYTES", 3 * window_tape)
+
+    def step_peaks(batch):
+        model.init_parameters(14)
+        windows = data.WindowSet(train_ws.inputs[:3 * batch],
+                                 train_ws.targets[:3 * batch])
+        return _traced_step_peaks(
+            model, windows, test_ws, ds,
+            TrainConfig(batch_size=batch, epochs=3, seed=14, eval_every=3))
+
+    one_group, grouped = step_peaks(3), step_peaks(8)
+    assert len(grouped) == 9 and training._groups(8, 3) == [
+        slice(0, 3), slice(3, 6), slice(6, 8)]
+    assert max(grouped) < max(one_group) + window_tape, (
+        max(grouped), max(one_group), window_tape)
+    assert max(grouped[6:]) <= max(grouped[:3]), grouped
 
 
 def test_no_worker_outlives_its_binding(monkeypatch):
@@ -789,85 +824,14 @@ def test_write_history(tmp_path):
     assert len(lines) == 3
 
 
-# -- step buffer pool ---------------------------------------------------------
-
-def _pool_sizes(monkeypatch, kind, batch, group=None):
-    """Train 3 epochs on 45 windows, evaluating after epochs 2 and 3, each
-    step in groups of at most `group` windows (None: one group); returns
-    (the number of pools started, the step sizes, and per step the pool it
-    drew from, counted from 1, and that pool's kept arrays)."""
-    prop, ds, train_ws, test_ws = ring_setup()
-    train_ws = data.WindowSet(train_ws.inputs[:45], train_ws.targets[:45])
-    model = SequenceModel(kind, 10, 4, 4, 1, propagation=prop)
-    model.init_parameters(8)
-    if group is not None:
-        monkeypatch.setattr(training, "TAPE_BYTES", group * model.tape_bytes())
-    pools, sizes, in_eval, drawn_in_eval = [], [], [], []
-
-    class WatchedPool(ad.BufferPool):
-        def __init__(self):
-            super().__init__()
-            pools.append(self)
-
-        def empty(self, shape, dtype=np.float64):
-            drawn_in_eval.extend(in_eval)
-            return super().empty(shape, dtype)
-
-    def step_end(params, max_norm):  # after backward, outside the binding
-        sizes.append((len(pools), len(pools[-1])))
-        clip_gradients(params, max_norm)
-
-    def watched_evaluate(*args):
-        in_eval.append(True)
-        try:
-            return evaluate(*args)
-        finally:
-            in_eval.clear()
-
-    monkeypatch.setattr(ad, "BufferPool", WatchedPool)
-    monkeypatch.setattr(training, "clip_gradients", step_end)
-    monkeypatch.setattr(training, "evaluate", watched_evaluate)
-    config = TrainConfig(lr=0.01, batch_size=batch, epochs=3, seed=8,
-                         eval_every=2)
-    train(model, train_ws, test_ws, ds, config)
-    assert drawn_in_eval == []
-    return len(pools), sizes
-
-
-def _assert_settled(sizes, n_pools, settled):
-    # each pool's kept arrays stop growing from its step `settled` (counted
-    # from 0) on, once every step shape has drawn from it
-    for i in range(1, n_pools + 1):
-        counts = [count for pool, count in sizes if pool == i]
-        assert counts and counts[0] > 0
-        assert counts[settled:] == counts[-1:] * len(counts[settled:])
-
+# -- poisoned kernel buffers ---------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
-@pytest.mark.parametrize("batch,n_pools", [(15, 2), (16, 2)])
-def test_train_pool_stops_growing_after_first_step(monkeypatch, kind, batch,
-                                                   n_pools):
-    # one pool per call until the evaluation after epoch 2, then another.
-    # Batch 15 runs 3 steps an epoch; batch 16 runs 2 full steps and a
-    # short one, whose buffers the same pool keeps beside the full steps'
-    pools, sizes = _pool_sizes(monkeypatch, kind, batch)
-    assert len(sizes) == 9 and pools == n_pools
-    _assert_settled(sizes, n_pools, 0 if batch == 15 else 2)
-
-
-@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
-def test_train_pool_serves_every_window_group(monkeypatch, kind):
-    # groups of at most 5 windows: a batch of 16 runs as 4, 4, 4, 4 and the
-    # short batch of 13 as 5, 4, 4, so the pool keeps the shapes of 4 and 5
-    # windows from the third step on
-    pools, sizes = _pool_sizes(monkeypatch, kind, 16, group=5)
-    assert len(sizes) == 9 and pools == 2
-    _assert_settled(sizes, 2, 2)
-
-
-@pytest.mark.parametrize("kind", ["gcn", "tgcn", "gru"])
-def test_train_with_pool_matches_never_reusing_pool(monkeypatch, kind):
-    # batch 16 on 10 nodes is 160 rows, and the short last batch 120, so a
+def test_train_with_poisoned_kernel_buffers_matches_plain(monkeypatch,
+                                                         kind):
+    # every buffer a kernel allocates starts as NaN in the second run, so a
+    # buffer read before it is written changes its history or parameters.
+    # Batch 16 on 10 nodes is 160 rows, and the short last batch 120, so a
     # 48-row block leaves several blocks and a short one in each
     monkeypatch.setattr(ad, "ROW_BLOCK", 48)
 
@@ -881,13 +845,14 @@ def test_train_with_pool_matches_never_reusing_pool(monkeypatch, kind):
         final = {k: p.data.copy() for k, p in model.parameters().items()}
         return result, final
 
-    reused, reused_final = run()
-    monkeypatch.setattr(ad, "BufferPool", PoisonPool)
-    fresh, fresh_final = run()
-    assert reused.history == fresh.history
-    assert reused.best_epoch == fresh.best_epoch
-    for got, want in ((reused.best_params, fresh.best_params),
-                      (reused_final, fresh_final)):
+    plain, plain_final = run()
+    with PoisonedEmpty() as poison:
+        poisoned, poisoned_final = run()
+    assert poison.drawn
+    assert plain.history == poisoned.history
+    assert plain.best_epoch == poisoned.best_epoch
+    for got, want in ((plain.best_params, poisoned.best_params),
+                      (plain_final, poisoned_final)):
         assert list(got) == list(want)
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
