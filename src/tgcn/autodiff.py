@@ -160,12 +160,10 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g, fresh=False):
-        """Add g to grad. A ``fresh`` g, a float64 result that nothing else
-        holds or will write, becomes the first gradient without a copy."""
+    def _accumulate(self, g):
+        """Add g to grad; the first gradient is a float64 copy of g."""
         if self.grad is None:
-            self.grad = (np.asarray(g) if fresh
-                         else np.array(g, dtype=np.float64, copy=True))
+            self.grad = np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
 
@@ -193,19 +191,11 @@ class Tensor:
 
     # -- backward pass -----------------------------------------------------
 
-    def backward(self, seed=None):
+    def backward(self):
         """Populate ``grad`` on every reachable tensor with requires_grad,
-        starting from this tensor's own gradient: 1 for a scalar loss, or
-        ``seed``, an array of this tensor's shape, for any output, as
-        PyTorch's ``tensor.backward(gradient)`` does."""
-        if seed is None:
-            if self.data.ndim != 0:
-                raise ContractError("backward without a seed requires a "
-                                    f"scalar loss, got shape {self.shape}")
-            seed = np.ones(())
-        elif np.shape(seed) != self.shape:
-            raise ShapeError(f"backward: seed shape {np.shape(seed)} != "
-                             f"output shape {self.shape}")
+        starting from this scalar loss's own gradient, 1."""
+        if self.data.ndim != 0:
+            raise ContractError(f"backward: shape {self.shape} is not a scalar")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -221,7 +211,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(seed)
+        self._accumulate(np.ones(()))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -275,7 +265,7 @@ def add(a, b):
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0, keepdims=True), fresh=True)
+                b._accumulate(g.sum(axis=0, keepdims=True))
 
         return Tensor._make(a.data + b.data, (a, b), bwd)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -289,7 +279,7 @@ def hadamard(a, b):
     def bwd(g, a=a, b=b):
         for t, other in ((a, b), (b, a)):
             if t.requires_grad:
-                t._accumulate(g * other.data, fresh=True)
+                t._accumulate(g * other.data)
 
     return Tensor._make(a.data * b.data, (a, b), bwd)
 
@@ -298,7 +288,7 @@ def scale(a, c):
     c = float(c)
 
     def bwd(g, a=a):
-        a._accumulate(g * c, fresh=True)
+        a._accumulate(g * c)
 
     return Tensor._make(a.data * c, (a,), bwd)
 
@@ -309,9 +299,9 @@ def matmul(a, b):
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T, fresh=True)
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g, fresh=True)
+            b._accumulate(a.data.T @ g)
 
     return Tensor._make(a.data @ b.data, (a, b), bwd)
 
@@ -335,7 +325,7 @@ def graph_propagate(prop, x):
     def bwd(g, x=x, prop=prop):
         dx = _empty(x.shape)
         np.matmul(prop.T, g.reshape(n, -1), out=dx.reshape(n, -1))
-        x._accumulate(dx, fresh=True)
+        x._accumulate(dx)
 
     return Tensor._make(out, (x,), bwd)
 
@@ -344,7 +334,7 @@ def sigmoid(x):
     out = _sigmoid_values(np.negative(x.data))
 
     def bwd(g, x=x, out=out):
-        x._accumulate(g * out * (1.0 - out), fresh=True)
+        x._accumulate(g * out * (1.0 - out))
 
     return Tensor._make(out, (x,), bwd)
 
@@ -353,7 +343,7 @@ def tanh(x):
     out = np.tanh(x.data)
 
     def bwd(g, x=x, out=out):
-        x._accumulate(g * (1.0 - out * out), fresh=True)
+        x._accumulate(g * (1.0 - out * out))
 
     return Tensor._make(out, (x,), bwd)
 
@@ -364,7 +354,7 @@ def relu(x):
 
     def bwd(g, x=x, mask=mask):
         # 0.0 where the mask is off, not g·0, which is −0.0 for a negative g
-        x._accumulate(np.where(mask, g, 0.0), fresh=True)
+        x._accumulate(np.where(mask, g, 0.0))
 
     return Tensor._make(np.maximum(x.data, 0.0), (x,), bwd)
 
@@ -423,14 +413,14 @@ def relu_mlp(x, w0, w1):
         dw1 = np.einsum("jdk,dk->kj", gm, w0.data)
         for param, grad in ((w0, dw0), (w1, dw1)):
             if param.requires_grad:
-                param._accumulate(grad, fresh=True)
+                param._accumulate(grad)
 
     return Tensor._make(out, (w0, w1), bwd)
 
 
 def square(x):
     def bwd(g, x=x):
-        x._accumulate(g * 2.0 * x.data, fresh=True)
+        x._accumulate(g * 2.0 * x.data)
 
     return Tensor._make(x.data * x.data, (x,), bwd)
 
@@ -633,7 +623,7 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         def scratch(rows):
             # a thread's t_ur and t_c, then its flat block scratch: the
             # replayed x of every step, then one step's
-            return (np.empty((q + k, 2 * k)), np.empty((q + k, k)),
+            return (_empty((q + k, 2 * k)), _empty((q + k, k)),
                     _empty((n_steps * (q + k) * rows,)),
                     *(_empty((w * rows,)) for w in flat))
 
@@ -643,7 +633,7 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
         if lift.requires_grad:
             dlift = dv_ur @ wg_ur.T
             dlift += dv_c @ w_c.data[:p].T
-            lift._accumulate(dlift, fresh=True)
+            lift._accumulate(dlift)
         dw_ur = np.concatenate([lift.data.T @ dv_ur, g_ur[q:]])
         dw_c = np.concatenate([lift.data.T @ dv_c, g_c[q:]])
         for param, g in ((w_u, dw_ur[:, :k]), (w_r, dw_ur[:, k:]),

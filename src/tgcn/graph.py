@@ -42,7 +42,12 @@ def build_propagation(adjacency):
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise InvalidGraph("adjacency is not symmetric within tolerance")
     a_tilde = a + np.eye(a.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    with np.errstate(over="ignore"):  # reported below
+        degree = a_tilde.sum(axis=1)
+    overflow = ~np.isfinite(degree)
+    if overflow.any():
+        raise InvalidGraph(f"degree of row {overflow.argmax()} overflows")
+    d_inv_sqrt = 1.0 / np.sqrt(degree)
     return (a_tilde * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
 
 

@@ -79,12 +79,17 @@ class Adam:
             p.zero_grad()
 
 
-def loss(pred, truth, weights=None, lam=0.0):
-    """Mean squared error plus lam * sum of squared weight entries."""
+def _squared_errors(pred, truth):
+    """(pred − truth)² per entry, as a tape node of pred."""
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.shape} != truth shape {truth.shape}")
-    total = ad.tensor_mean(ad.square(pred - Tensor(truth)))
+    return ad.square(pred - Tensor(truth))
+
+
+def loss(pred, truth, weights=None, lam=0.0):
+    """Mean squared error plus lam * sum of squared weight entries."""
+    total = ad.tensor_mean(_squared_errors(pred, truth))
     if lam > 0 and weights:
         reg = None
         for w in weights.values():
@@ -188,8 +193,8 @@ def train(model, train_windows, test_windows, dataset, config):
     recording forward's tape (`SequenceModel.tape_bytes`) within
     TAPE_BYTES, at least one, the batch split into groups whose sizes
     differ by at most one. Each group's forward and backward run, and its
-    tape is freed, before the next group starts: its backward starts from
-    the gradient the batch's mean squared error gives its predictions, and
+    tape is freed, before the next group starts: it backpropagates its
+    share of the batch's mean squared error, its Σ(pred − truth)² / N, and
     the gradients add up in the parameters. Then one `loss` call on the
     batch's predictions, a constant there, gives the step's value and adds
     the L2 term's gradient, and `clip_gradients` and Adam run once. So a
@@ -240,20 +245,16 @@ def train(model, train_windows, test_windows, dataset, config):
                 opt.zero_grad()
                 for part in _groups(len(idx), group):
                     pred = model.forward(stack.take(idx[part]))
-                    # d(mean squared error)/d(pred), in the order of the
-                    # backward of `loss`'s tensor_mean and square
-                    diff = pred.data - batch_tg[:, part].reshape(pred.shape)
-                    seed = (1.0 / batch_tg.size) * 2.0 * diff
-                    # a non-finite seed makes the loss non-finite, which
-                    # raises below
-                    if np.isfinite(seed).all():
-                        pred.backward(seed)
+                    # the group's share of the batch's mean squared error
+                    truth = batch_tg[:, part].reshape(pred.shape)
+                    share = ad.tensor_sum(_squared_errors(pred, truth))
+                    ad.scale(share, 1.0 / batch_tg.size).backward()
                     preds[:, part] = pred.data.reshape(
                         len(preds), -1, model.horizon)
                     # free this group's tape now, not when the next forward
-                    # rebinds the name, so that two groups' tapes are never
+                    # rebinds the names, so that two groups' tapes are never
                     # alive at once
-                    del pred
+                    del pred, share
                 batch_loss = loss(Tensor(preds.reshape(-1, model.horizon)),
                                   batch_tg.reshape(-1, model.horizon),
                                   weights, config.weight_decay)

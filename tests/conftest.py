@@ -29,15 +29,17 @@ def ring_series(n=10, timesteps=240, noise=0.02, seed=123):
 class PoisonedEmpty:
     """Inside the block, every array a kernel allocates (``autodiff._empty``)
     starts as NaN (True if bool), so a buffer read before it is written
-    shows in the results. ``drawn`` lists each draw's (dtype, bytes)."""
+    shows in the results. ``drawn`` lists each draw's (dtype, bytes), and
+    ``shapes`` its shape."""
 
     def __init__(self):
-        self.drawn = []
+        self.drawn, self.shapes = [], []
 
     def empty(self, shape, dtype=np.float64):
         buf = np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 1,
                       dtype)
         self.drawn.append((buf.dtype, buf.nbytes))
+        self.shapes.append(buf.shape)
         return buf
 
     def __enter__(self):

@@ -88,30 +88,29 @@ def test_backward_requires_scalar():
         (x + x).backward()
 
 
-def test_backward_from_a_seed_matches_the_loss_it_stands_for():
-    # training seeds each window group's predictions with the gradient of
-    # the batch's mean squared error, in the order of that loss's backward
-    rng = np.random.default_rng(43)
-    x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
-    truth = rng.standard_normal((6, 2))
-    grads = []
-    for seeded in (False, True):
-        weight = Tensor(w, requires_grad=True)
-        pred = Tensor(x) @ weight
-        if seeded:
-            pred.backward((1.0 / truth.size) * 2.0 * (pred.data - truth))
-        else:
-            ad.tensor_mean(ad.square(pred - Tensor(truth))).backward()
-        grads.append(weight.grad)
-    assert grads[1].tobytes() == grads[0].tobytes()
-
-
-def test_backward_seed_must_match_the_output_shape():
-    x = Tensor(np.zeros((2, 2)), requires_grad=True)
-    with pytest.raises(ShapeError, match=r"seed shape \(2,\) != output "
-                       r"shape \(2, 2\)"):
-        (x + x).backward(np.ones(2))
-    assert x.grad is None
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_group_shares_give_their_rows_of_the_mean_squared_errors_gradient(
+        data):
+    # training backpropagates each window group's share of the batch's
+    # mean squared error, (1/N)·Σ(pred − truth)² over the group's entries
+    # with N the batch's, on its own; each group gets exactly its rows of
+    # the gradient of the whole batch's mean
+    m, h = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 3))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, m - 1)),
+                                    max_size=m - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    magnitude = 10.0 ** data.draw(st.integers(-3, 3))
+    pred = magnitude * rng.standard_normal((m, h))
+    truth = magnitude * rng.standard_normal((m, h))
+    whole = Tensor(pred, requires_grad=True)
+    ad.tensor_mean(ad.square(whole - Tensor(truth))).backward()
+    for s, e in zip([0, *cuts], [*cuts, m]):
+        part = Tensor(pred[s:e], requires_grad=True)
+        share = ad.scale(ad.tensor_sum(ad.square(
+            part - Tensor(truth[s:e]))), 1.0 / truth.size)
+        share.backward()
+        assert part.grad.tobytes() == whole.grad[s:e].tobytes()
 
 
 def test_gradient_accumulation_two_paths():
@@ -538,6 +537,10 @@ def test_gru_unroll_on_threads_matches_one_thread(monkeypatch, count, record):
         threaded_rows = run(rows)
     assert 1 < len(seen) <= count
     assert poison.drawn
+    if record:
+        # the backward's per-thread GEMM temporaries, (q + k, 2k) and
+        # (q + k, k) with q = r + 1 = 3 and k = 2, are poisoned too
+        assert {(5, 4), (5, 2)} <= set(poison.shapes)
     assert len(threaded) == len(threaded_rows) == (8 if record else 1)
     for want, got, got_rows in zip(serial, threaded, threaded_rows):
         assert got.tobytes() == want.tobytes()

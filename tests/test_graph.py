@@ -84,6 +84,14 @@ def test_rejects_non_finite_entry(build, bad):
         build(adj)
 
 
+def test_rejects_a_degree_past_the_float_range():
+    # every entry is finite, but row 1's degree, 2·2^1023 + 2, is not:
+    # unchecked, the sum's inf would zero that row of the propagation
+    big = 2.0 ** 1023
+    with pytest.raises(InvalidGraph, match=r"^degree of row 1 overflows$"):
+        build_propagation([[0, 1, 0], [1, big, big], [0, big, 0]])
+
+
 def test_rejects_asymmetry():
     with pytest.raises(InvalidGraph):
         build_propagation([[0, 1], [0, 0]])

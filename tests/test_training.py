@@ -471,6 +471,41 @@ def test_grouped_steps_match_one_group(monkeypatch, kind):
     _close_histories(one[3], grouped[3])
 
 
+@pytest.mark.parametrize("kind", ["tgcn", "gru", "gcn"])
+def test_one_group_step_has_the_gradients_of_the_loss(kind):
+    # a step of one group backpropagates its share of the batch's mean
+    # squared error, then `loss` on its predictions as constants adds the
+    # L2 term's gradient: what clip_gradients sees is, byte for byte, one
+    # backward of `loss` through the model
+    prop, ds, train_ws, test_ws = ring_setup()
+    train_ws = data.WindowSet(train_ws.inputs[:16], train_ws.targets[:16])
+    model = SequenceModel(kind, 10, 6, 4, 1, propagation=prop)
+    model.init_parameters(15)
+    start = {k: p.data.copy() for k, p in model.parameters().items()}
+    config = TrainConfig(lr=0.01, batch_size=16, epochs=1, seed=15,
+                         weight_decay=1e-3)
+    grads = []
+
+    def clip_probe(params, max_norm):
+        grads.append({k: p.grad.copy() for k, p in params.items()})
+        clip_gradients(params, max_norm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "clip_gradients", clip_probe)
+        train(model, train_ws, test_ws, ds, config)
+    assert len(grads) == 1
+    training.restore(model, start)
+    for p in model.parameters().values():
+        p.zero_grad()
+    idx = np.random.default_rng(config.seed).permutation(16)
+    truth = train_ws.targets[idx].transpose(1, 0, 2).reshape(-1, 1)
+    pred = model.forward(model.feature_windows(train_ws.inputs).take(idx))
+    loss(pred, truth, model.weight_parameters(),
+         config.weight_decay).backward()
+    for name, p in model.parameters().items():
+        assert p.grad.tobytes() == grads[0][name].tobytes(), name
+
+
 def _traced_step_peaks(model, windows, test_ws, ds, config):
     """Train under tracemalloc; returns each step's traced peak, from its
     zero_grad to its clip, above what was held when the step started."""
