@@ -2,7 +2,10 @@
 
 The computation graph is define-by-run: every primitive that touches a tensor
 requiring gradients records a closure that propagates adjoints back to its
-inputs. ``backward`` replays those closures in reverse topological order.
+inputs, through ``_node`` as its value and one gradient per operand; the fused
+kernels ``relu_mlp`` and ``gru_unroll``, whose one ``run_rows`` pass gives all
+their operands' gradients, call ``Tensor._make`` instead. ``backward`` replays
+those closures in reverse topological order.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is a
 (1, d) row vector added to an (m, d) matrix (bias over rows). Everything else
@@ -249,25 +252,25 @@ def _sigmoid_values(v, out=None):
 
 # -- primitives ------------------------------------------------------------
 
+def _node(out, parents, grads):
+    """A Tensor of value out over the Tensors parents, whose backward gives
+    each parent that requires grad, in operand order, grads[i](g)."""
+    def bwd(g):
+        for t, grad in zip(parents, grads):
+            if t.requires_grad:
+                t._accumulate(grad(g))
+
+    return Tensor._make(out, parents, bwd)
+
+
 def add(a, b):
     """Elementwise sum of the Tensors a and b, b of a's shape or a (1, d)
     bias row."""
     if a.shape == b.shape:
-        def bwd(g, a=a, b=b):
-            for t in (a, b):
-                if t.requires_grad:
-                    t._accumulate(g)
-
-        return Tensor._make(a.data + b.data, (a, b), bwd)
-    if (a.data.ndim == 2 and b.data.ndim == 2
-            and b.shape == (1, a.shape[1])):
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                a._accumulate(g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0, keepdims=True))
-
-        return Tensor._make(a.data + b.data, (a, b), bwd)
+        return _node(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+    if a.data.ndim == 2 and b.shape == (1, a.shape[1]):
+        return _node(a.data + b.data, (a, b), (
+            lambda g: g, lambda g: g.sum(axis=0, keepdims=True)))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -275,35 +278,20 @@ def hadamard(a, b):
     """Elementwise product of the Tensors a and b, of one shape."""
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g, a=a, b=b):
-        for t, other in ((a, b), (b, a)):
-            if t.requires_grad:
-                t._accumulate(g * other.data)
-
-    return Tensor._make(a.data * b.data, (a, b), bwd)
+    return _node(a.data * b.data, (a, b),
+                 (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(a, c):
     c = float(c)
-
-    def bwd(g, a=a):
-        a._accumulate(g * c)
-
-    return Tensor._make(a.data * c, (a,), bwd)
+    return _node(a.data * c, (a,), (lambda g: g * c,))
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor._make(a.data @ b.data, (a, b), bwd)
+    return _node(a.data @ b.data, (a, b),
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def graph_propagate(prop, x):
@@ -322,41 +310,29 @@ def graph_propagate(prop, x):
     out = _empty(x.shape)
     np.matmul(prop, x.data.reshape(n, -1), out=out.reshape(n, -1))
 
-    def bwd(g, x=x, prop=prop):
-        dx = _empty(x.shape)
-        np.matmul(prop.T, g.reshape(n, -1), out=dx.reshape(n, -1))
-        x._accumulate(dx)
+    def dx(g):
+        grad = _empty(x.shape)
+        np.matmul(prop.T, g.reshape(n, -1), out=grad.reshape(n, -1))
+        return grad
 
-    return Tensor._make(out, (x,), bwd)
+    return _node(out, (x,), (dx,))
 
 
 def sigmoid(x):
     out = _sigmoid_values(np.negative(x.data))
-
-    def bwd(g, x=x, out=out):
-        x._accumulate(g * out * (1.0 - out))
-
-    return Tensor._make(out, (x,), bwd)
+    return _node(out, (x,), (lambda g: g * out * (1.0 - out),))
 
 
 def tanh(x):
     out = np.tanh(x.data)
-
-    def bwd(g, x=x, out=out):
-        x._accumulate(g * (1.0 - out * out))
-
-    return Tensor._make(out, (x,), bwd)
+    return _node(out, (x,), (lambda g: g * (1.0 - out * out),))
 
 
 def relu(x):
-    # gradient at exactly 0 is defined as 0
-    mask = x.data > 0
-
-    def bwd(g, x=x, mask=mask):
-        # 0.0 where the mask is off, not g·0, which is −0.0 for a negative g
-        x._accumulate(np.where(mask, g, 0.0))
-
-    return Tensor._make(np.maximum(x.data, 0.0), (x,), bwd)
+    # gradient at exactly 0 is defined as 0, and it is 0.0 where x <= 0,
+    # not g·0, which is −0.0 for a negative g
+    return _node(np.maximum(x.data, 0.0), (x,),
+                 (lambda g: np.where(x.data > 0, g, 0.0),))
 
 
 def relu_mlp(x, w0, w1):
@@ -419,23 +395,15 @@ def relu_mlp(x, w0, w1):
 
 
 def square(x):
-    def bwd(g, x=x):
-        x._accumulate(g * 2.0 * x.data)
-
-    return Tensor._make(x.data * x.data, (x,), bwd)
+    return _node(x.data * x.data, (x,), (lambda g: g * 2.0 * x.data,))
 
 
 def concat_cols(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
     p = a.shape[1]
-
-    def bwd(g, a=a, b=b, p=p):
-        for t, part in ((a, g[:, :p]), (b, g[:, p:])):
-            if t.requires_grad:
-                t._accumulate(part)
-
-    return Tensor._make(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
+    return _node(np.concatenate([a.data, b.data], axis=1), (a, b),
+                 (lambda g: g[:, :p], lambda g: g[:, p:]))
 
 
 def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
@@ -646,19 +614,14 @@ def gru_unroll(feats, lift, h0, w_u, w_r, w_c, b_u, b_r, b_c):
 
 
 def tensor_sum(x):
-    def bwd(g, x=x):
-        x._accumulate(np.broadcast_to(g, x.data.shape))
-
-    return Tensor._make(x.data.sum(), (x,), bwd)
+    return _node(x.data.sum(), (x,),
+                 (lambda g: np.broadcast_to(g, x.data.shape),))
 
 
 def tensor_mean(x):
     n = x.data.size
-
-    def bwd(g, x=x, n=n):
-        x._accumulate(np.broadcast_to(g / n, x.data.shape))
-
-    return Tensor._make(x.data.mean(), (x,), bwd)
+    return _node(x.data.mean(), (x,),
+                 (lambda g: np.broadcast_to(g / n, x.data.shape),))
 
 
 # -- gradient checking -----------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, check_integer
 
 SPLIT_FRACTION = 0.8  # the first 80% of the timesteps are the training rows
 
@@ -204,9 +204,8 @@ def make_windows(dataset, seq_len, horizon):
     need be, so a reduction over a window (the historical average) sums in
     the same order whatever the layout of the values.
     """
-    if seq_len < 1 or horizon < 1:
-        raise ConfigError(f"seq_len and horizon must be >= 1, got {seq_len} "
-                          f"and {horizon}")
+    check_integer("seq_len", seq_len)
+    check_integer("horizon", horizon)
     values = np.ascontiguousarray(dataset.values)
     total = values.shape[0]
     if total < seq_len + horizon + 1:

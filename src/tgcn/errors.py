@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+
+import numpy as np
 
 
 class TgcnError(Exception):
@@ -35,3 +37,10 @@ class DataError(TgcnError):
 
 class ConfigError(TgcnError):
     """Invalid configuration value."""
+
+
+def check_integer(label, value, least=1):
+    """Raise a ConfigError naming label unless value is a python or numpy
+    integer, not a bool, and at least least."""
+    if not np.issubdtype(type(value), np.integer) or value < least:
+        raise ConfigError(f"{label} must be an integer >= {least}, got {value!r}")

@@ -49,7 +49,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .errors import (CheckpointError, ConfigError, ContractError, ShapeError,
+                     check_integer)
 
 CHECKPOINT_MAGIC = b"TGCN"
 CHECKPOINT_VERSION = 1
@@ -271,8 +272,7 @@ class SequenceModel:
         if build is not None:
             sizes["hidden"] = hidden
         for name, value in sizes.items():
-            if value < 1:
-                raise ConfigError(f"{name!r} must be >= 1, got {value}")
+            check_integer(repr(name), value)
         self.propagation = None
         if needs_graph:
             if propagation is None:

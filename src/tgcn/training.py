@@ -3,6 +3,7 @@ evaluation and best-checkpoint tracking."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -11,7 +12,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import denormalize
-from .errors import ConfigError, DataError, ShapeError, TrainingDiverged
+from .errors import (ConfigError, DataError, ShapeError, TrainingDiverged,
+                     check_integer)
 from .metrics import SCORES, compute_metrics, write_csv
 
 HISTORY_COLUMNS = ("epoch", "train_loss") + SCORES
@@ -40,10 +42,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "epochs", "eval_every", "seed"):
-            value, least = getattr(self, name), int(name != "seed")
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), int(name != "seed"))
         for name in ("lr", "weight_decay", "clip"):
             value = getattr(self, name)
             if not np.isfinite(value):  # NaN passes every comparison
@@ -100,20 +99,19 @@ def loss(pred, truth, weights=None, lam=0.0):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients in place so their global L2 norm is <= max_norm;
-    max_norm <= 0 disables clipping."""
-    if max_norm <= 0:
-        return
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad ** 2))
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+    """Scale all gradients in place so their global L2 norm is <= max_norm
+    (<= 0 disables), in units of the largest entry if the squares overflow."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    big = 1.0
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(g ** 2)) for g in grads)
+    if math.isinf(total) and all(np.isfinite(g).all() for g in grads):
+        big = max(float(np.abs(g).max()) for g in grads)
+        total = sum(float(np.sum((g / big) ** 2)) for g in grads)
+    norm = math.sqrt(total)
+    if max_norm > 0 and big * norm > max_norm:
+        for g in grads:
+            g *= max_norm / big / norm
 
 
 def _threads():

@@ -120,11 +120,12 @@ def test_gradient_accumulation_two_paths():
 
 
 @pytest.mark.parametrize("name", ["add", "add_bias", "hadamard",
-                                  "concat_cols"])
+                                  "concat_cols", "matmul"])
 @pytest.mark.parametrize("const", [0, 1])
 def test_binary_primitive_gives_a_constant_operand_no_gradient(name, const):
     rng = np.random.default_rng(41)
-    shapes = ((3, 2), (1, 2)) if name == "add_bias" else ((3, 2), (3, 2))
+    shapes = {"add_bias": ((3, 2), (1, 2)),
+              "matmul": ((3, 2), (2, 4))}.get(name, ((3, 2), (3, 2)))
     f = getattr(ad, name.removesuffix("_bias"))
     data = [rng.standard_normal(s) for s in shapes]
     weight = Tensor(rng.standard_normal(f(*map(Tensor, data)).shape))

@@ -201,6 +201,18 @@ def test_make_windows_too_short():
         data.make_windows(ds, seq_len=5, horizon=2)
 
 
+@pytest.mark.parametrize("field,seq_len,horizon", [
+    ("seq_len", 2.5, 1), ("seq_len", True, 1), ("horizon", 2, 1.0),
+    ("horizon", 2, False)])
+def test_make_windows_refuses_a_non_integer_size(field, seq_len, horizon):
+    ds = make_dataset(np.arange(40.0).reshape(20, 2))
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        data.make_windows(ds, seq_len, horizon)
+    # numpy integers are sizes too: 20 steps split at 16, so 13 windows
+    train, _ = data.make_windows(ds, np.int64(2), np.int32(1))
+    assert train.inputs.shape == (13, 2, 2)
+
+
 def test_make_windows_horizon_exhausts_test():
     ds = data.normalize(make_dataset(np.arange(20.0)[:, None] + 1))
     _, test = data.make_windows(ds, seq_len=3, horizon=10)

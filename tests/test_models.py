@@ -270,6 +270,19 @@ def test_sizes_validated(kind, sizes):
         SequenceModel(kind, *sizes, propagation=prop)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_nodes", 3.0), ("hidden", 2.5), ("seq_len", True),
+    ("horizon", np.float64(1.0))])
+def test_sizes_must_be_integers(field, value):
+    prop = random_graph(np.random.default_rng(12), 3)
+    sizes = {"n_nodes": 3, "hidden": 2, "seq_len": 4, "horizon": 1}
+    with pytest.raises(ConfigError, match=f"^'{field}' must be an integer"):
+        SequenceModel("tgcn", **{**sizes, field: value}, propagation=prop)
+    model = SequenceModel("tgcn", **{**sizes, field: np.int64(3)},
+                          propagation=prop)
+    assert getattr(model, field) == 3
+
+
 @pytest.mark.parametrize("kind", ["tgcn", "gcn"])
 def test_graph_kind_needs_fitting_propagation(kind):
     with pytest.raises(ConfigError, match="road network"):

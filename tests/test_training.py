@@ -117,6 +117,16 @@ def test_clip_gradients_global_norm():
     assert params["a"].grad[0, 0] == pytest.approx(0.6)
 
 
+def test_clip_gradients_scales_a_finite_gradient_whose_squares_overflow():
+    # 1e200² overflows: a plain sum of squares reads inf, and max_norm / inf
+    # would zero the step's gradient
+    params = make_params({"a": [0.0, 0.0, 0.0]})
+    params["a"].grad = np.array([1e200, 1e200, 0.0])
+    clip_gradients(params, 5.0)
+    assert np.linalg.norm(params["a"].grad) == pytest.approx(5.0)
+    assert params["a"].grad == pytest.approx([5 / np.sqrt(2)] * 2 + [0.0])
+
+
 # -- training loop -----------------------------------------------------------
 
 def ring_setup(seq_len=4, horizon=1, timesteps=80):
@@ -135,6 +145,17 @@ def test_train_config_refuses_what_train_would_crash_on(name, value):
     with pytest.raises(ConfigError,
                        match=rf"^{name} must be an integer >= \d, got {value}$"):
         TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("batch_size", True), ("epochs", True), ("eval_every", True),
+    ("seed", False)])
+def test_train_config_refuses_a_bool_count(name, value):
+    # a bool is an int to python, so batch_size=True would train at batch 1
+    with pytest.raises(ConfigError,
+                       match=rf"^{name} must be an integer >= \d, got {value}$"):
+        TrainConfig(**{name: value})
+    assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
 
 
 @pytest.mark.parametrize("name", ["lr", "weight_decay"])
